@@ -143,6 +143,19 @@ fn bench_buddy() {
         });
         report("buddy_alloc_free_2m", &t);
     }
+    {
+        // QBOX's Linux node: a 2,304 MiB pool fragmented at boot, then a
+        // 16 MiB FFT workspace mapped from isolated 4 KiB frames and torn
+        // down per step.
+        let mut buddy = BuddyAllocator::new(PhysAddr(0), 2304 << 20);
+        let _held = buddy.fragment(0.4);
+        let mut space = AddressSpace::new(MapPolicy::Fragmented4k, BASE);
+        let t = time_it(20, 200, || {
+            let (va, _) = space.mmap_anonymous(&mut buddy, 16 << 20, false).unwrap();
+            black_box(space.munmap(&mut buddy, va).unwrap());
+        });
+        report("buddy_fragmented_scratch_16m", &t);
+    }
 }
 
 fn bench_full_pingpong() {

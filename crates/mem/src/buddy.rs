@@ -8,10 +8,89 @@
 //! fragmented — we reproduce that with [`BuddyAllocator::fragment`].
 
 use crate::addr::{is_aligned, PhysAddr, PAGE_4K};
-use std::collections::BTreeSet;
 
 /// Largest supported order: `4 KiB << 18 = 1 GiB` blocks.
 pub const MAX_ORDER: u8 = 18;
+
+/// One 4096-bit slice of a free list, with one bit per non-zero word so
+/// the lowest set bit is two `trailing_zeros` away.
+#[derive(Clone, Debug)]
+struct Chunk {
+    nonempty: u64,
+    words: [u64; 64],
+}
+
+/// The free list of one order: a bitmap over base-relative block indices
+/// `(addr - base) >> (12 + order)`, cut into [`Chunk`]s that are
+/// allocated on first insert, plus one summary bit per non-empty chunk.
+/// Insert, remove, contains and lowest-set-bit are O(1) in the number of
+/// free blocks (the summary scan is one word per 1 GiB of pool at order 0).
+#[derive(Clone, Debug, Default)]
+struct FreeBits {
+    len: u64,
+    summary: Vec<u64>,
+    chunks: Vec<Option<Box<Chunk>>>,
+}
+
+impl FreeBits {
+    #[inline]
+    fn split(i: u64) -> (usize, usize, u64) {
+        ((i >> 12) as usize, ((i >> 6) & 63) as usize, 1 << (i & 63))
+    }
+
+    fn contains(&self, i: u64) -> bool {
+        let (c, w, bit) = Self::split(i);
+        matches!(self.chunks.get(c), Some(Some(ch)) if ch.words[w] & bit != 0)
+    }
+
+    fn insert(&mut self, i: u64) {
+        let (c, w, bit) = Self::split(i);
+        if self.chunks.len() <= c {
+            self.chunks.resize_with(c + 1, || None);
+            self.summary.resize(c / 64 + 1, 0);
+        }
+        let ch = self.chunks[c].get_or_insert_with(|| {
+            Box::new(Chunk {
+                nonempty: 0,
+                words: [0; 64],
+            })
+        });
+        debug_assert!(ch.words[w] & bit == 0, "block {i} already free");
+        ch.words[w] |= bit;
+        ch.nonempty |= 1 << w;
+        self.summary[c / 64] |= 1 << (c % 64);
+        self.len += 1;
+    }
+
+    /// Clear bit `i`; returns whether it was set.
+    fn remove(&mut self, i: u64) -> bool {
+        let (c, w, bit) = Self::split(i);
+        let Some(Some(ch)) = self.chunks.get_mut(c) else {
+            return false;
+        };
+        if ch.words[w] & bit == 0 {
+            return false;
+        }
+        ch.words[w] &= !bit;
+        if ch.words[w] == 0 {
+            ch.nonempty &= !(1 << w);
+            if ch.nonempty == 0 {
+                self.summary[c / 64] &= !(1 << (c % 64));
+            }
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// The lowest set index.
+    fn first(&self) -> Option<u64> {
+        let (s, &word) = self.summary.iter().enumerate().find(|(_, w)| **w != 0)?;
+        let c = s * 64 + word.trailing_zeros() as usize;
+        let ch = self.chunks[c].as_ref()?;
+        let w = ch.nonempty.trailing_zeros() as usize;
+        Some(((c as u64) << 12) | ((w as u64) << 6) | ch.words[w].trailing_zeros() as u64)
+    }
+}
 
 /// Allocation failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,14 +102,16 @@ pub enum BuddyError {
     BadFree,
 }
 
-/// Binary buddy allocator. Free lists are `BTreeSet`s so the allocator
-/// always returns the lowest-addressed block — deterministic across runs.
+/// Binary buddy allocator. Free lists are bitmaps searched lowest bit
+/// first, so the allocator always returns the lowest-addressed block —
+/// deterministic across runs.
 #[derive(Clone, Debug)]
 pub struct BuddyAllocator {
     base: u64,
     size: u64,
-    /// `free[o]` holds base addresses of free blocks of size `4K << o`.
-    free: Vec<BTreeSet<u64>>,
+    /// `free[o]` marks the free blocks of size `4K << o`, indexed by
+    /// `(addr - base) >> (12 + o)`.
+    free: Vec<FreeBits>,
     allocated: u64,
 }
 
@@ -43,22 +124,21 @@ impl BuddyAllocator {
         let mut b = BuddyAllocator {
             base: base.0,
             size,
-            free: (0..=MAX_ORDER).map(|_| BTreeSet::new()).collect(),
+            free: (0..=MAX_ORDER).map(|_| FreeBits::default()).collect(),
             allocated: 0,
         };
         // Seed free lists with the largest aligned blocks that tile the range.
-        let mut cur = base.0;
-        let end = base.0 + size;
-        while cur < end {
+        let mut cur = 0;
+        while cur < size {
             let mut order = MAX_ORDER;
             loop {
                 let bs = block_size(order);
-                if is_aligned(cur - b.base, bs) && cur + bs <= end {
+                if is_aligned(cur, bs) && cur + bs <= size {
                     break;
                 }
                 order -= 1;
             }
-            b.free[order as usize].insert(cur);
+            b.free[order as usize].insert(cur >> (12 + order));
             cur += block_size(order);
         }
         b
@@ -95,22 +175,23 @@ impl BuddyAllocator {
         }
         // Find the smallest order ≥ requested with a free block.
         let mut o = order;
-        while (o as usize) < self.free.len() && self.free[o as usize].is_empty() {
+        while (o as usize) < self.free.len() && self.free[o as usize].len == 0 {
             o += 1;
         }
         if o > MAX_ORDER {
             return Err(BuddyError::OutOfMemory);
         }
-        let addr = *self.free[o as usize].iter().next().unwrap();
-        self.free[o as usize].remove(&addr);
+        let mut idx = self.free[o as usize].first().expect("non-empty list");
+        self.free[o as usize].remove(idx);
         // Split down to the requested order, returning upper halves to the
         // free lists.
         while o > order {
             o -= 1;
-            self.free[o as usize].insert(addr + block_size(o));
+            idx *= 2;
+            self.free[o as usize].insert(idx + 1);
         }
         self.allocated += block_size(order);
-        Ok(PhysAddr(addr))
+        Ok(PhysAddr(self.base + (idx << (12 + order))))
     }
 
     /// Allocate the smallest block that covers `bytes`.
@@ -129,50 +210,37 @@ impl BuddyAllocator {
         {
             return Err(BuddyError::BadFree);
         }
+        let rel = addr.0 - self.base;
         // Double-free detection: the block (or a coalesced ancestor
         // containing it) must not already be on a free list.
-        for o in 0..=MAX_ORDER {
-            let container = self.base + crate::addr::align_down(addr.0 - self.base, block_size(o));
-            if self.free[o as usize].contains(&container) {
-                return Err(BuddyError::BadFree);
-            }
+        if (0..=MAX_ORDER).any(|o| self.free[o as usize].contains(rel >> (12 + o))) {
+            return Err(BuddyError::BadFree);
         }
-        let mut addr = addr.0;
+        let mut idx = rel >> (12 + order);
         let mut order = order;
-        // Coalesce with the buddy while possible.
-        while order < MAX_ORDER {
-            let buddy = self.base + ((addr - self.base) ^ block_size(order));
-            if buddy + block_size(order) <= self.base + self.size
-                && self.free[order as usize].remove(&buddy)
-            {
-                addr = addr.min(buddy);
-                order += 1;
-            } else {
-                break;
-            }
+        // Coalesce with the buddy while possible. A buddy past the end of
+        // the range is never on a free list, so no bounds check is needed.
+        while order < MAX_ORDER && self.free[order as usize].remove(idx ^ 1) {
+            idx /= 2;
+            order += 1;
         }
-        self.free[order as usize].insert(addr);
+        self.free[order as usize].insert(idx);
         self.allocated -= bs;
         Ok(())
     }
 
     /// A copy of this allocator translated by `delta` bytes: same size,
-    /// same free-list *shape*, every address shifted. Because every
-    /// decision the allocator makes (seeding, split, coalesce,
-    /// lowest-address choice) is arithmetic on `addr - base`, the clone
+    /// same free lists, every address shifted. Free lists are indexed
+    /// relative to the base, so this is a plain clone with a new base.
+    /// Every decision the allocator makes (seeding, split, coalesce,
+    /// lowest-address choice) is arithmetic on `addr - base`, so the clone
     /// behaves bit-identically to an allocator that was constructed at
     /// the shifted base and then driven through the same call sequence —
     /// the invariant behind template-boot node cloning.
     pub fn clone_rebased(&self, delta: u64) -> BuddyAllocator {
         BuddyAllocator {
             base: self.base + delta,
-            size: self.size,
-            free: self
-                .free
-                .iter()
-                .map(|set| set.iter().map(|a| a + delta).collect())
-                .collect(),
-            allocated: self.allocated,
+            ..self.clone()
         }
     }
 
@@ -180,7 +248,7 @@ impl BuddyAllocator {
     pub fn largest_free_order(&self) -> Option<u8> {
         (0..=MAX_ORDER)
             .rev()
-            .find(|&o| !self.free[o as usize].is_empty())
+            .find(|&o| self.free[o as usize].len != 0)
     }
 
     /// Fragment the allocator to emulate a long-running host: allocates

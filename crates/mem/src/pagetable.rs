@@ -64,18 +64,22 @@ enum Entry {
 #[derive(Debug)]
 struct Table {
     entries: Vec<Entry>, // always 512
+    /// Non-empty entries; a non-root table is freed when this hits 0.
+    live: u16,
 }
 
 impl Table {
     fn new() -> Box<Table> {
         Box::new(Table {
             entries: (0..512).map(|_| Entry::Empty).collect(),
+            live: 0,
         })
     }
 
     /// Deep-copy the subtree, adding `delta` to every leaf physical base.
     fn clone_rebased(&self, delta: u64) -> Box<Table> {
         Box::new(Table {
+            live: self.live,
             entries: self
                 .entries
                 .iter()
@@ -89,6 +93,38 @@ impl Table {
                 })
                 .collect(),
         })
+    }
+
+    /// Remove the leaf covering `va` from this level-`level` subtree,
+    /// freeing any child table the removal leaves empty.
+    fn unmap(&mut self, va: u64, level: u8) -> Result<(PhysAddr, PageSize), PtError> {
+        let idx = index(va, level);
+        let removed = match &mut self.entries[idx] {
+            Entry::Empty => return Err(PtError::NotMapped),
+            Entry::Leaf { pa, .. } => {
+                let size = match level {
+                    1 => PageSize::Size4K,
+                    2 => PageSize::Size2M,
+                    3 => PageSize::Size1G,
+                    _ => return Err(PtError::NotMapped),
+                };
+                if !is_aligned(va, size.bytes()) {
+                    // Unmapping mid-page: caller must pass the page base.
+                    return Err(PtError::Misaligned);
+                }
+                (PhysAddr(*pa), size)
+            }
+            Entry::Table(t) => {
+                let removed = t.unmap(va, level - 1)?;
+                if t.live > 0 {
+                    return Ok(removed);
+                }
+                removed
+            }
+        };
+        self.entries[idx] = Entry::Empty;
+        self.live -= 1;
+        Ok(removed)
     }
 }
 
@@ -171,6 +207,7 @@ impl PageTable {
             match &mut table.entries[idx] {
                 Entry::Empty => {
                     table.entries[idx] = Entry::Table(Table::new());
+                    table.live += 1;
                 }
                 Entry::Leaf { .. } => return Err(PtError::AlreadyMapped),
                 Entry::Table(_) => {}
@@ -188,6 +225,7 @@ impl PageTable {
                     pa: pa.0,
                     flags: fl | flags::PRESENT,
                 };
+                table.live += 1;
                 self.mapped_pages += 1;
                 Ok(())
             }
@@ -195,44 +233,17 @@ impl PageTable {
         }
     }
 
-    /// Remove the mapping covering `va`; returns what was mapped.
+    /// Remove the mapping covering `va`; returns what was mapped. Tables
+    /// left empty by the removal are freed (the root is kept), so an
+    /// address range that is mapped and unmapped repeatedly leaves no
+    /// page-table pages behind.
     pub fn unmap(&mut self, va: VirtAddr) -> Result<(PhysAddr, PageSize), PtError> {
         if !va.is_canonical() {
             return Err(PtError::NonCanonical);
         }
-        let mut table = &mut self.root;
-        let mut level = 4u8;
-        loop {
-            let idx = index(va.0, level);
-            match &mut table.entries[idx] {
-                Entry::Empty => return Err(PtError::NotMapped),
-                Entry::Leaf { pa, .. } => {
-                    let size = match level {
-                        1 => PageSize::Size4K,
-                        2 => PageSize::Size2M,
-                        3 => PageSize::Size1G,
-                        _ => return Err(PtError::NotMapped),
-                    };
-                    if !is_aligned(va.0, size.bytes()) {
-                        // Unmapping mid-page: caller must pass the page base.
-                        return Err(PtError::Misaligned);
-                    }
-                    let pa = PhysAddr(*pa);
-                    table.entries[idx] = Entry::Empty;
-                    self.mapped_pages -= 1;
-                    return Ok((pa, size));
-                }
-                Entry::Table(_) => {}
-            }
-            table = match &mut table.entries[idx] {
-                Entry::Table(t) => t,
-                _ => unreachable!(),
-            };
-            if level == 1 {
-                return Err(PtError::NotMapped);
-            }
-            level -= 1;
-        }
+        let removed = self.root.unmap(va.0, 4)?;
+        self.mapped_pages -= 1;
+        Ok(removed)
     }
 
     /// Translate `va` to a physical address.
@@ -378,6 +389,34 @@ mod tests {
         assert_eq!(pt.translate(VirtAddr(0x2000)), Err(PtError::NotMapped));
         assert_eq!(pt.unmap(VirtAddr(0x2000)), Err(PtError::NotMapped));
         assert_eq!(pt.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn unmap_frees_emptied_tables() {
+        // Fill one whole level-1 table with 4 KiB leaves, then empty it:
+        // the table must go, so a 2 MiB leaf fits in its parent slot.
+        let mut pt = PageTable::new();
+        let va = 7 * PAGE_2M;
+        for i in 0..512 {
+            pt.map(
+                VirtAddr(va + i * PAGE_4K),
+                PhysAddr(i * PAGE_4K),
+                PageSize::Size4K,
+                0,
+            )
+            .unwrap();
+        }
+        for i in 0..512 {
+            pt.unmap(VirtAddr(va + i * PAGE_4K)).unwrap();
+        }
+        assert_eq!(pt.mapped_pages(), 0);
+        pt.map(VirtAddr(va), PhysAddr(PAGE_2M), PageSize::Size2M, 0)
+            .unwrap();
+        assert_eq!(pt.translate(VirtAddr(va + 0x10)).unwrap().levels_walked, 3);
+        // Emptying the whole tree leaves only the root.
+        pt.unmap(VirtAddr(va)).unwrap();
+        assert_eq!(pt.root.live, 0);
+        assert!(pt.root.entries.iter().all(|e| matches!(e, Entry::Empty)));
     }
 
     #[test]

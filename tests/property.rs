@@ -6,9 +6,11 @@
 //! message includes the case seed, which reproduces the input exactly.
 
 use pico_dwarf::leb128;
-use pico_mem::{AddressSpace, BuddyAllocator, MapPolicy, PhysAddr, VirtAddr, PAGE_4K};
+use pico_mem::buddy::{block_size, MAX_ORDER};
+use pico_mem::{AddressSpace, BuddyAllocator, BuddyError, MapPolicy, PhysAddr, VirtAddr, PAGE_4K};
 use pico_mpi::coll;
 use pico_sim::{EventQueue, HeapEventQueue, Ns, Rng, ServerPool};
+use std::collections::BTreeSet;
 
 /// Per-case RNG: one master seed per property, split by case index.
 fn case_rng(master: u64, case: u64) -> Rng {
@@ -42,45 +44,214 @@ fn leb128_round_trip() {
     }
 }
 
+/// Reference model for [`BuddyAllocator`]: the same algorithm over
+/// per-order `BTreeSet`s of free block addresses, the simplest layout
+/// that returns the lowest-addressed block.
+#[derive(Clone)]
+struct RefBuddy {
+    base: u64,
+    size: u64,
+    free: Vec<BTreeSet<u64>>,
+    allocated: u64,
+}
+
+impl RefBuddy {
+    fn new(base: u64, size: u64) -> RefBuddy {
+        let mut b = RefBuddy {
+            base,
+            size,
+            free: vec![BTreeSet::new(); MAX_ORDER as usize + 1],
+            allocated: 0,
+        };
+        let mut cur = 0;
+        while cur < size {
+            let order = (0..=MAX_ORDER)
+                .rev()
+                .find(|&o| cur.is_multiple_of(block_size(o)) && cur + block_size(o) <= size)
+                .unwrap();
+            b.free[order as usize].insert(base + cur);
+            cur += block_size(order);
+        }
+        b
+    }
+
+    fn alloc(&mut self, order: u8) -> Result<PhysAddr, BuddyError> {
+        let mut o = (order..=MAX_ORDER)
+            .find(|&o| !self.free[o as usize].is_empty())
+            .ok_or(BuddyError::OutOfMemory)?;
+        let addr = self.free[o as usize].pop_first().unwrap();
+        while o > order {
+            o -= 1;
+            self.free[o as usize].insert(addr + block_size(o));
+        }
+        self.allocated += block_size(order);
+        Ok(PhysAddr(addr))
+    }
+
+    fn free(&mut self, addr: PhysAddr, order: u8) -> Result<(), BuddyError> {
+        let bs = block_size(order);
+        if order > MAX_ORDER
+            || addr.0 < self.base
+            || addr.0 + bs > self.base + self.size
+            || !(addr.0 - self.base).is_multiple_of(bs)
+        {
+            return Err(BuddyError::BadFree);
+        }
+        let rel = addr.0 - self.base;
+        if (0..=MAX_ORDER).any(|o| {
+            let container = self.base + rel / block_size(o) * block_size(o);
+            self.free[o as usize].contains(&container)
+        }) {
+            return Err(BuddyError::BadFree);
+        }
+        let (mut addr, mut order) = (addr.0, order);
+        while order < MAX_ORDER {
+            let buddy = self.base + ((addr - self.base) ^ block_size(order));
+            if buddy + block_size(order) > self.base + self.size
+                || !self.free[order as usize].remove(&buddy)
+            {
+                break;
+            }
+            addr = addr.min(buddy);
+            order += 1;
+        }
+        self.free[order as usize].insert(addr);
+        self.allocated -= bs;
+        Ok(())
+    }
+
+    fn clone_rebased(&self, delta: u64) -> RefBuddy {
+        RefBuddy {
+            base: self.base + delta,
+            free: self
+                .free
+                .iter()
+                .map(|set| set.iter().map(|a| a + delta).collect())
+                .collect(),
+            ..*self
+        }
+    }
+
+    fn largest_free_order(&self) -> Option<u8> {
+        (0..=MAX_ORDER)
+            .rev()
+            .find(|&o| !self.free[o as usize].is_empty())
+    }
+
+    fn fragment(&mut self, fraction: f64) -> Vec<PhysAddr> {
+        let pages = ((self.size as f64 * fraction) / PAGE_4K as f64) as u64;
+        let taken: Vec<_> = (0..pages).map_while(|_| self.alloc(0).ok()).collect();
+        let mut kept = Vec::new();
+        for (i, p) in taken.into_iter().enumerate() {
+            if i % 2 == 0 {
+                kept.push(p);
+            } else {
+                self.free(p, 0).unwrap();
+            }
+        }
+        kept
+    }
+}
+
 /// The buddy allocator conserves memory under arbitrary alloc/free
-/// interleavings and never double-allocates a region.
+/// interleavings, never double-allocates a region, and makes exactly the
+/// choices of the `BTreeSet` reference model: every `alloc`/`free`
+/// result (bad and double frees included), `allocated()` and
+/// `largest_free_order()` match, across `fragment`, a `clone_rebased`
+/// partway through, non-zero bases and non-power-of-two sizes.
 #[test]
 fn buddy_conservation() {
     for case in 0..64 {
         let mut r = case_rng(0x000B_0DD7, case);
         let nops = 1 + r.gen_range(200) as usize;
-        let mut b = BuddyAllocator::new(PhysAddr(0), 16 << 20);
+        let base = if case % 2 == 0 {
+            0
+        } else {
+            r.gen_range(1 << 20) * PAGE_4K
+        };
+        let size = if case % 4 < 2 {
+            16 << 20
+        } else {
+            (16 << 20) + (1 + r.gen_range(4095)) * PAGE_4K
+        };
+        let mut b = BuddyAllocator::new(PhysAddr(base), size);
+        let mut oracle = RefBuddy::new(base, size);
         let cap = b.capacity();
         let mut live: Vec<(PhysAddr, u8)> = Vec::new();
-        for _ in 0..nops {
-            let order = r.gen_range(6) as u8;
-            let do_free = r.chance(0.5);
-            if do_free && !live.is_empty() {
-                let (pa, o) = live.swap_remove(live.len() / 2);
-                assert!(b.free(pa, o).is_ok(), "case {case}");
-            } else if let Ok(pa) = b.alloc(order) {
-                // No overlap with any live block.
-                let size = pico_mem::buddy::block_size(order);
-                for &(lpa, lo) in &live {
-                    let lsize = pico_mem::buddy::block_size(lo);
-                    assert!(
-                        pa.0 + size <= lpa.0 || lpa.0 + lsize <= pa.0,
-                        "case {case} overlap: {pa:?}+{size} vs {lpa:?}+{lsize}"
-                    );
+        if r.chance(0.3) {
+            let fraction = r.gen_range(60) as f64 / 100.0;
+            let held = b.fragment(fraction);
+            assert_eq!(held, oracle.fragment(fraction), "case {case}");
+            live.extend(held.into_iter().map(|p| (p, 0)));
+        }
+        let overlaps_live = |live: &[(PhysAddr, u8)], pa: u64, size: u64| {
+            live.iter()
+                .any(|&(l, o)| pa < l.0 + block_size(o) && l.0 < pa + size)
+        };
+        for step in 0..nops {
+            if step == nops / 2 {
+                let delta = (1 + r.gen_range(64)) << 40;
+                b = b.clone_rebased(delta);
+                oracle = oracle.clone_rebased(delta);
+                for (pa, _) in live.iter_mut() {
+                    pa.0 += delta;
                 }
-                live.push((pa, order));
             }
-            let live_bytes: u64 = live
-                .iter()
-                .map(|&(_, o)| pico_mem::buddy::block_size(o))
-                .sum();
+            let order = r.gen_range(6) as u8;
+            if r.chance(0.5) && !live.is_empty() {
+                let (pa, o) = live.swap_remove(live.len() / 2);
+                assert_eq!(b.free(pa, o), Ok(()), "case {case}");
+                assert_eq!(oracle.free(pa, o), Ok(()), "case {case}");
+                // A double free, and the free of a 4 KiB sub-block of
+                // what is now (part of) a coalesced free block.
+                let sub = pa.0 + r.gen_range(block_size(o) / PAGE_4K) * PAGE_4K;
+                for (a, ao) in [(pa, o), (PhysAddr(sub), 0)] {
+                    assert_eq!(b.free(a, ao), Err(BuddyError::BadFree), "case {case}");
+                    assert_eq!(oracle.free(a, ao), Err(BuddyError::BadFree), "case {case}");
+                }
+            } else if r.chance(0.2) {
+                // A wild free that overlaps no live block: misaligned, out
+                // of range or over free memory, it must be refused.
+                let page = r.gen_range(cap / PAGE_4K + 2) * PAGE_4K;
+                let skew = if r.chance(0.1) { 0x10 } else { 0 };
+                let pa = PhysAddr((oracle.base + page + skew).saturating_sub(PAGE_4K));
+                let o = r.gen_range(MAX_ORDER as u64 + 2) as u8;
+                if !overlaps_live(&live, pa.0, block_size(o)) {
+                    assert_eq!(b.free(pa, o), Err(BuddyError::BadFree), "case {case}");
+                    assert_eq!(oracle.free(pa, o), Err(BuddyError::BadFree), "case {case}");
+                }
+            } else {
+                let got = b.alloc(order);
+                assert_eq!(got, oracle.alloc(order), "case {case}");
+                if let Ok(pa) = got {
+                    let size = block_size(order);
+                    assert!(
+                        !overlaps_live(&live, pa.0, size),
+                        "case {case} overlap at {pa:?}"
+                    );
+                    live.push((pa, order));
+                }
+            }
+            let live_bytes: u64 = live.iter().map(|&(_, o)| block_size(o)).sum();
             assert_eq!(b.allocated(), live_bytes, "case {case}");
+            assert_eq!(oracle.allocated, live_bytes, "case {case}");
             assert_eq!(b.free_bytes(), cap - live_bytes, "case {case}");
+            assert_eq!(
+                b.largest_free_order(),
+                oracle.largest_free_order(),
+                "case {case}"
+            );
         }
         for (pa, o) in live {
-            assert!(b.free(pa, o).is_ok(), "case {case}");
+            assert_eq!(b.free(pa, o), Ok(()), "case {case}");
+            assert_eq!(oracle.free(pa, o), Ok(()), "case {case}");
         }
         assert_eq!(b.allocated(), 0, "case {case}");
+        assert_eq!(
+            b.largest_free_order(),
+            oracle.largest_free_order(),
+            "case {case}"
+        );
     }
 }
 
