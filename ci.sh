@@ -36,7 +36,7 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt check =="
-cargo fmt --all --check || echo "(fmt drift, non-fatal)"
+cargo fmt --all --check
 
 echo "== simbench smoke gate (queue speedup, train batching, clamped events) =="
 cargo run --release -p pico-bench --bin simbench -- --smoke

@@ -156,6 +156,28 @@ fn bench_buddy() {
         });
         report("buddy_fragmented_scratch_16m", &t);
     }
+    {
+        // A whole QBOX node's worth: 32 live workspaces (512 MiB) exhaust
+        // the pool's ~118k isolated frames, so the tail is split from
+        // larger blocks and coalesces again on unmap. Reported per
+        // map + unmap pair.
+        let mut buddy = BuddyAllocator::new(PhysAddr(0), 2304 << 20);
+        let _held = buddy.fragment(0.4);
+        let mut space = AddressSpace::new(MapPolicy::Fragmented4k, BASE);
+        let t = time_it(5, 500, || {
+            let vas: Vec<_> = (0..32)
+                .map(|_| space.mmap_anonymous(&mut buddy, 16 << 20, false).unwrap().0)
+                .collect();
+            for va in vas.into_iter().rev() {
+                black_box(space.munmap(&mut buddy, va).unwrap());
+            }
+        });
+        let per_pair = pico_bench::BenchTiming {
+            iters: t.iters * 32,
+            ..t
+        };
+        report("buddy_fragmented_scratch_16m_x32", &per_pair);
+    }
 }
 
 fn bench_full_pingpong() {

@@ -12,7 +12,7 @@ use crate::addr::{is_aligned, PhysAddr, PAGE_4K};
 /// Largest supported order: `4 KiB << 18 = 1 GiB` blocks.
 pub const MAX_ORDER: u8 = 18;
 
-/// One 4096-bit slice of a free list, with one bit per non-zero word so
+/// One 4096-bit slice of a [`Bitmap`], with one bit per non-zero word so
 /// the lowest set bit is two `trailing_zeros` away.
 #[derive(Clone, Debug)]
 struct Chunk {
@@ -20,31 +20,32 @@ struct Chunk {
     words: [u64; 64],
 }
 
-/// The free list of one order: a bitmap over base-relative block indices
-/// `(addr - base) >> (12 + order)`, cut into [`Chunk`]s that are
-/// allocated on first insert, plus one summary bit per non-empty chunk.
-/// Insert, remove, contains and lowest-set-bit are O(1) in the number of
-/// free blocks (the summary scan is one word per 1 GiB of pool at order 0).
+/// A set of indices kept as a bitmap, cut into [`Chunk`]s that are
+/// allocated on first insert, plus one summary bit per non-empty chunk
+/// and a count. Operations take a word index `w` (bits `64w .. 64w+64`)
+/// and a mask, so a caller can move up to 64 indices at once. Insert,
+/// remove and lowest-set-bit are O(1) in the number of set bits (the
+/// summary scan is one word per 2^18 indices).
 #[derive(Clone, Debug, Default)]
-struct FreeBits {
+struct Bitmap {
     len: u64,
     summary: Vec<u64>,
     chunks: Vec<Option<Box<Chunk>>>,
 }
 
-impl FreeBits {
+impl Bitmap {
+    /// The bits of word `w`.
     #[inline]
-    fn split(i: u64) -> (usize, usize, u64) {
-        ((i >> 12) as usize, ((i >> 6) & 63) as usize, 1 << (i & 63))
+    fn word(&self, w: u64) -> u64 {
+        match self.chunks.get((w >> 6) as usize) {
+            Some(Some(ch)) => ch.words[(w & 63) as usize],
+            _ => 0,
+        }
     }
 
-    fn contains(&self, i: u64) -> bool {
-        let (c, w, bit) = Self::split(i);
-        matches!(self.chunks.get(c), Some(Some(ch)) if ch.words[w] & bit != 0)
-    }
-
-    fn insert(&mut self, i: u64) {
-        let (c, w, bit) = Self::split(i);
+    /// Set the bits of `mask` in word `w`; none of them may be set.
+    fn set_bits(&mut self, w: u64, mask: u64) {
+        let (c, wi) = ((w >> 6) as usize, (w & 63) as usize);
         if self.chunks.len() <= c {
             self.chunks.resize_with(c + 1, || None);
             self.summary.resize(c / 64 + 1, 0);
@@ -55,41 +56,87 @@ impl FreeBits {
                 words: [0; 64],
             })
         });
-        debug_assert!(ch.words[w] & bit == 0, "block {i} already free");
-        ch.words[w] |= bit;
-        ch.nonempty |= 1 << w;
+        debug_assert!(ch.words[wi] & mask == 0, "word {w}: bits already set");
+        ch.words[wi] |= mask;
+        ch.nonempty |= 1 << wi;
         self.summary[c / 64] |= 1 << (c % 64);
-        self.len += 1;
+        self.len += u64::from(mask.count_ones());
     }
 
-    /// Clear bit `i`; returns whether it was set.
-    fn remove(&mut self, i: u64) -> bool {
-        let (c, w, bit) = Self::split(i);
-        let Some(Some(ch)) = self.chunks.get_mut(c) else {
-            return false;
-        };
-        if ch.words[w] & bit == 0 {
-            return false;
-        }
-        ch.words[w] &= !bit;
-        if ch.words[w] == 0 {
-            ch.nonempty &= !(1 << w);
+    /// Clear the bits of `mask` in word `w`; all of them must be set.
+    fn clear_bits(&mut self, w: u64, mask: u64) {
+        let (c, wi) = ((w >> 6) as usize, (w & 63) as usize);
+        let ch = self.chunks[c]
+            .as_mut()
+            .expect("clearing bits of a live chunk");
+        debug_assert!(ch.words[wi] & mask == mask, "word {w}: bits not set");
+        ch.words[wi] &= !mask;
+        if ch.words[wi] == 0 {
+            ch.nonempty &= !(1 << wi);
             if ch.nonempty == 0 {
                 self.summary[c / 64] &= !(1 << (c % 64));
             }
         }
-        self.len -= 1;
-        true
+        self.len -= u64::from(mask.count_ones());
     }
 
-    /// The lowest set index.
-    fn first(&self) -> Option<u64> {
+    fn insert(&mut self, i: u64) {
+        self.set_bits(i >> 6, 1 << (i & 63));
+    }
+
+    /// Clear bit `i`; returns whether it was set.
+    fn remove(&mut self, i: u64) -> bool {
+        let bit = 1 << (i & 63);
+        let set = self.word(i >> 6) & bit != 0;
+        if set {
+            self.clear_bits(i >> 6, bit);
+        }
+        set
+    }
+
+    /// The lowest non-zero word: its index and bits.
+    fn first_word(&self) -> Option<(u64, u64)> {
         let (s, &word) = self.summary.iter().enumerate().find(|(_, w)| **w != 0)?;
         let c = s * 64 + word.trailing_zeros() as usize;
         let ch = self.chunks[c].as_ref()?;
         let w = ch.nonempty.trailing_zeros() as usize;
-        Some(((c as u64) << 12) | ((w as u64) << 6) | ch.words[w].trailing_zeros() as u64)
+        Some((((c as u64) << 6) | w as u64, ch.words[w]))
     }
+
+    /// The lowest set index.
+    fn first(&self) -> Option<u64> {
+        self.first_word()
+            .map(|(w, bits)| (w << 6) | u64::from(bits.trailing_zeros()))
+    }
+}
+
+/// The `(word, mask)` pairs covering bits `[start, start + n)`.
+fn word_masks(start: u64, n: u64) -> impl Iterator<Item = (u64, u64)> {
+    let end = start + n;
+    (start >> 6..end.div_ceil(64)).map(move |w| {
+        let lo = (w << 6).max(start);
+        let width = ((w + 1) << 6).min(end) - lo;
+        let ones = if width == 64 { !0 } else { (1 << width) - 1 };
+        (w, ones << (lo & 63))
+    })
+}
+
+/// The lowest `k` set bits of `bits` (all of them if it has `k` or fewer).
+fn lowest_bits(bits: u64, k: usize) -> u64 {
+    let mut rest = bits;
+    for _ in 0..k.min(64) {
+        rest &= rest.wrapping_sub(1);
+    }
+    bits & !rest
+}
+
+/// Every set bit of `bits`, lowest first.
+fn bit_indices(mut bits: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let b = bits.trailing_zeros();
+        bits &= bits.wrapping_sub(1);
+        (b < 64).then_some(u64::from(b))
+    })
 }
 
 /// Allocation failure.
@@ -102,6 +149,18 @@ pub enum BuddyError {
     BadFree,
 }
 
+/// The allocator's bitmaps, in one heap block so the allocator itself —
+/// stored inline in every simulated node — stays three words.
+#[derive(Clone, Debug)]
+struct Bitmaps {
+    /// `free[o]` marks the free blocks of size `4K << o`, indexed by
+    /// `(addr - base) >> (12 + o)`.
+    free: [Bitmap; MAX_ORDER as usize + 1],
+    /// One bit per allocated 4 KiB frame, indexed by `(addr - base) >> 12`.
+    /// Every frame is either allocated or inside exactly one free block.
+    allocated: Bitmap,
+}
+
 /// Binary buddy allocator. Free lists are bitmaps searched lowest bit
 /// first, so the allocator always returns the lowest-addressed block —
 /// deterministic across runs.
@@ -109,10 +168,7 @@ pub enum BuddyError {
 pub struct BuddyAllocator {
     base: u64,
     size: u64,
-    /// `free[o]` marks the free blocks of size `4K << o`, indexed by
-    /// `(addr - base) >> (12 + o)`.
-    free: Vec<FreeBits>,
-    allocated: u64,
+    maps: Box<Bitmaps>,
 }
 
 impl BuddyAllocator {
@@ -124,8 +180,10 @@ impl BuddyAllocator {
         let mut b = BuddyAllocator {
             base: base.0,
             size,
-            free: (0..=MAX_ORDER).map(|_| FreeBits::default()).collect(),
-            allocated: 0,
+            maps: Box::new(Bitmaps {
+                free: std::array::from_fn(|_| Bitmap::default()),
+                allocated: Bitmap::default(),
+            }),
         };
         // Seed free lists with the largest aligned blocks that tile the range.
         let mut cur = 0;
@@ -138,7 +196,7 @@ impl BuddyAllocator {
                 }
                 order -= 1;
             }
-            b.free[order as usize].insert(cur >> (12 + order));
+            b.maps.free[order as usize].insert(cur >> (12 + order));
             cur += block_size(order);
         }
         b
@@ -150,11 +208,11 @@ impl BuddyAllocator {
     }
     /// Bytes currently allocated.
     pub fn allocated(&self) -> u64 {
-        self.allocated
+        self.maps.allocated.len * PAGE_4K
     }
     /// Bytes currently free.
     pub fn free_bytes(&self) -> u64 {
-        self.size - self.allocated
+        self.size - self.allocated()
     }
 
     /// Order needed for an allocation of `bytes`.
@@ -170,27 +228,23 @@ impl BuddyAllocator {
 
     /// Allocate a block of order `order` (size `4K << order`).
     pub fn alloc(&mut self, order: u8) -> Result<PhysAddr, BuddyError> {
-        if order > MAX_ORDER {
+        // The smallest order ≥ `order` with a free block (none past MAX_ORDER).
+        let Some(mut o) = (order..=MAX_ORDER).find(|&o| self.maps.free[o as usize].len != 0) else {
             return Err(BuddyError::OutOfMemory);
-        }
-        // Find the smallest order ≥ requested with a free block.
-        let mut o = order;
-        while (o as usize) < self.free.len() && self.free[o as usize].len == 0 {
-            o += 1;
-        }
-        if o > MAX_ORDER {
-            return Err(BuddyError::OutOfMemory);
-        }
-        let mut idx = self.free[o as usize].first().expect("non-empty list");
-        self.free[o as usize].remove(idx);
+        };
+        let free = &mut self.maps.free;
+        let mut idx = free[o as usize].first().expect("non-empty list");
+        free[o as usize].remove(idx);
         // Split down to the requested order, returning upper halves to the
         // free lists.
         while o > order {
             o -= 1;
             idx *= 2;
-            self.free[o as usize].insert(idx + 1);
+            free[o as usize].insert(idx + 1);
         }
-        self.allocated += block_size(order);
+        for (w, mask) in word_masks(idx << order, 1 << order) {
+            self.maps.allocated.set_bits(w, mask);
+        }
         Ok(PhysAddr(self.base + (idx << (12 + order))))
     }
 
@@ -200,7 +254,55 @@ impl BuddyAllocator {
         self.alloc(order).map(|a| (a, order))
     }
 
-    /// Free a block previously obtained with [`alloc`](Self::alloc).
+    /// Allocate `n` 4 KiB frames and append them to `out`, in exactly the
+    /// order `n` calls of `alloc(0)` would return them. If memory runs out
+    /// first, `out` holds the frames those calls would have returned
+    /// (still allocated) and the result is `OutOfMemory`.
+    ///
+    /// Free order-0 frames are taken a bitmap word at a time. With none
+    /// left, the lowest block of the smallest free order is split: `alloc(0)`
+    /// would hand out its frames lowest first, so the first `k` are taken
+    /// at once and the rest `[k, 2^o)` go back as the aligned blocks those
+    /// calls would leave — order `trailing_zeros(p)` at each offset `p`.
+    pub fn alloc_pages(&mut self, n: usize, out: &mut Vec<PhysAddr>) -> Result<(), BuddyError> {
+        out.reserve(n);
+        let base = self.base;
+        let mut need = n;
+        while need > 0 {
+            let maps = &mut *self.maps;
+            if let Some((w, bits)) = maps.free[0].first_word() {
+                let take = lowest_bits(bits, need);
+                maps.free[0].clear_bits(w, take);
+                maps.allocated.set_bits(w, take);
+                out.extend(bit_indices(take).map(|b| PhysAddr(base + (((w << 6) | b) << 12))));
+                need -= take.count_ones() as usize;
+                continue;
+            }
+            let Some(o) = (1..=MAX_ORDER).find(|&o| maps.free[o as usize].len != 0) else {
+                return Err(BuddyError::OutOfMemory);
+            };
+            let idx = maps.free[o as usize].first().expect("non-empty list");
+            maps.free[o as usize].remove(idx);
+            let (start, count) = (idx << o, 1u64 << o);
+            let take = count.min(need as u64);
+            for (w, mask) in word_masks(start, take) {
+                maps.allocated.set_bits(w, mask);
+            }
+            out.extend((start..start + take).map(|f| PhysAddr(base + (f << 12))));
+            let mut p = take;
+            while p < count {
+                let ord = p.trailing_zeros();
+                maps.free[ord as usize].insert((start + p) >> ord);
+                p += 1 << ord;
+            }
+            need -= take as usize;
+        }
+        Ok(())
+    }
+
+    /// Free a block previously obtained with [`alloc`](Self::alloc). The
+    /// block must be aligned, inside the managed range, and overlap no
+    /// free memory: every one of its frames must be allocated.
     pub fn free(&mut self, addr: PhysAddr, order: u8) -> Result<(), BuddyError> {
         let bs = block_size(order);
         if order > MAX_ORDER
@@ -210,23 +312,81 @@ impl BuddyAllocator {
         {
             return Err(BuddyError::BadFree);
         }
-        let rel = addr.0 - self.base;
-        // Double-free detection: the block (or a coalesced ancestor
-        // containing it) must not already be on a free list.
-        if (0..=MAX_ORDER).any(|o| self.free[o as usize].contains(rel >> (12 + o))) {
+        let frame = (addr.0 - self.base) >> 12;
+        let maps = &mut *self.maps;
+        if !word_masks(frame, 1 << order).all(|(w, m)| maps.allocated.word(w) & m == m) {
             return Err(BuddyError::BadFree);
         }
-        let mut idx = rel >> (12 + order);
+        for (w, mask) in word_masks(frame, 1 << order) {
+            maps.allocated.clear_bits(w, mask);
+        }
+        let mut idx = frame >> order;
         let mut order = order;
         // Coalesce with the buddy while possible. A buddy past the end of
         // the range is never on a free list, so no bounds check is needed.
-        while order < MAX_ORDER && self.free[order as usize].remove(idx ^ 1) {
+        while order < MAX_ORDER && maps.free[order as usize].remove(idx ^ 1) {
             idx /= 2;
             order += 1;
         }
-        self.free[order as usize].insert(idx);
-        self.allocated -= bs;
+        maps.free[order as usize].insert(idx);
         Ok(())
+    }
+
+    /// Free 4 KiB frames, each exactly as `free(pa, 0)` would: the result
+    /// is `BadFree` if any frame was refused (misaligned, out of range,
+    /// not allocated, or repeated), and every other frame is freed.
+    ///
+    /// Consecutive frames in one 64-frame bitmap word are freed together.
+    /// The buddy of an order-0 frame lies in the same word, so the word
+    /// goes straight to the order-0 free list unless a frame meets a free
+    /// buddy there; only such a word takes the single-frame path. The
+    /// final state does not depend on the order of the frames: a buddy
+    /// allocator's free lists are determined by which frames are free.
+    pub fn free_pages(&mut self, frames: &[PhysAddr]) -> Result<(), BuddyError> {
+        let mut refused = false;
+        let (mut word, mut mask) = (0, 0);
+        for &pa in frames {
+            if pa.0 < self.base || pa.0 >= self.base + self.size || !is_aligned(pa.0, PAGE_4K) {
+                refused = true;
+                continue;
+            }
+            let f = (pa.0 - self.base) >> 12;
+            if f >> 6 != word {
+                self.free_word(word, mask);
+                (word, mask) = (f >> 6, 0);
+            }
+            let bit = 1 << (f & 63);
+            if mask & bit != 0 || self.maps.allocated.word(word) & bit == 0 {
+                refused = true;
+                continue;
+            }
+            mask |= bit;
+        }
+        self.free_word(word, mask);
+        if refused {
+            Err(BuddyError::BadFree)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Free the allocated frames `mask` of bitmap word `word`.
+    fn free_word(&mut self, word: u64, mask: u64) {
+        const EVEN: u64 = 0x5555_5555_5555_5555;
+        let maps = &mut *self.maps;
+        let both = mask | maps.free[0].word(word);
+        if both & (both >> 1) & EVEN == 0 {
+            // No frame pairs with a free buddy: nothing coalesces.
+            if mask != 0 {
+                maps.allocated.clear_bits(word, mask);
+                maps.free[0].set_bits(word, mask);
+            }
+            return;
+        }
+        for b in bit_indices(mask) {
+            let pa = PhysAddr(self.base + (((word << 6) | b) << 12));
+            self.free(pa, 0).expect("frame checked allocated");
+        }
     }
 
     /// A copy of this allocator translated by `delta` bytes: same size,
@@ -248,7 +408,7 @@ impl BuddyAllocator {
     pub fn largest_free_order(&self) -> Option<u8> {
         (0..=MAX_ORDER)
             .rev()
-            .find(|&o| self.free[o as usize].len != 0)
+            .find(|&o| self.maps.free[o as usize].len != 0)
     }
 
     /// Fragment the allocator to emulate a long-running host: allocates
@@ -259,24 +419,15 @@ impl BuddyAllocator {
     /// Returns the pages left allocated (the caller may keep or free them).
     pub fn fragment(&mut self, fraction: f64) -> Vec<PhysAddr> {
         let fraction = fraction.clamp(0.0, 1.0);
-        let target_pages = ((self.size as f64 * fraction) / PAGE_4K as f64) as u64;
+        let target_pages = ((self.size as f64 * fraction) / PAGE_4K as f64) as usize;
         let mut taken = Vec::new();
-        for _ in 0..target_pages {
-            match self.alloc(0) {
-                Ok(p) => taken.push(p),
-                Err(_) => break,
-            }
-        }
+        // Running out of memory just ends the churn early.
+        let _ = self.alloc_pages(target_pages, &mut taken);
         // Free every other page: buddies can never coalesce past order 0.
-        let mut kept = Vec::with_capacity(taken.len() / 2);
-        for (i, p) in taken.into_iter().enumerate() {
-            if i % 2 == 0 {
-                kept.push(p);
-            } else {
-                self.free(p, 0).expect("freeing just-allocated page");
-            }
-        }
-        kept
+        let freed: Vec<_> = taken.iter().skip(1).step_by(2).copied().collect();
+        self.free_pages(&freed)
+            .expect("freeing just-allocated pages");
+        taken.into_iter().step_by(2).collect()
     }
 }
 
@@ -408,6 +559,44 @@ mod tests {
         assert_eq!(b.free(PhysAddr(2 << 20), 0), Err(BuddyError::BadFree));
         b.free(a, 0).unwrap();
         assert_eq!(b.free(a, 0), Err(BuddyError::BadFree));
+    }
+
+    #[test]
+    fn free_refuses_a_block_with_a_free_frame() {
+        // Freeing a block's second frame first leaves the block
+        // overlapping free memory: the whole-block free must be refused,
+        // or `allocated()` wraps and the free frame is handed out twice.
+        let mut b = mk(1 << 20);
+        let a = b.alloc(1).unwrap();
+        b.free(a + PAGE_4K, 0).unwrap();
+        assert_eq!(b.free(a, 1), Err(BuddyError::BadFree));
+        assert_eq!(b.allocated(), PAGE_4K);
+        b.free(a, 0).unwrap();
+        assert_eq!(b.allocated(), 0);
+        assert_eq!(b.largest_free_order(), Some(8));
+    }
+
+    #[test]
+    fn batch_calls_on_a_checkerboard() {
+        let mut b = mk(1 << 20);
+        let held = b.fragment(0.25); // 64 frames taken, the odd 32 freed
+        assert_eq!(held.len(), 32);
+        let mut got = Vec::new();
+        // 32 isolated holes, then a split of the lowest free 256 KiB block.
+        b.alloc_pages(40, &mut got).unwrap();
+        let holes = (0..32).map(|i| PhysAddr((2 * i + 1) * PAGE_4K));
+        let split = (64..72).map(|i| PhysAddr(i * PAGE_4K));
+        assert_eq!(got, holes.chain(split).collect::<Vec<_>>());
+        assert_eq!(b.free_pages(&got), Ok(()));
+        assert_eq!(b.free_pages(&got[..1]), Err(BuddyError::BadFree));
+        assert_eq!(b.free_pages(&held), Ok(()));
+        assert_eq!((b.allocated(), b.largest_free_order()), (0, Some(8)));
+    }
+
+    #[test]
+    fn allocator_stays_three_words() {
+        // Every simulated node stores one inline.
+        assert_eq!(std::mem::size_of::<BuddyAllocator>(), 24);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! walker that reports how many levels it touched (the fast-path cost
 //! model charges per level).
 
-use crate::addr::{is_aligned, PageSize, PhysAddr, PhysRun, VirtAddr};
+use crate::addr::{is_aligned, PageSize, PhysAddr, PhysRun, VirtAddr, PAGE_4K};
 
 /// Page-table entry permission/state flags.
 pub mod flags {
@@ -126,6 +126,34 @@ impl Table {
         self.live -= 1;
         Ok(removed)
     }
+
+    /// Remove every leaf of this level-`level` subtree, which maps from
+    /// `base`, whose base address lies in `[lo, hi)`; frees each child
+    /// table left empty. Returns the number of leaves removed.
+    fn unmap_span(&mut self, base: u64, level: u8, lo: u64, hi: u64) -> u64 {
+        let span = 1u64 << (12 + 9 * (level as u64 - 1));
+        let first = (lo.max(base) - base) / span;
+        let last = (hi - base).div_ceil(span).min(512);
+        let mut removed = 0;
+        for i in first..last {
+            let start = base + i * span;
+            let entry = &mut self.entries[i as usize];
+            match entry {
+                Entry::Empty => continue,
+                Entry::Leaf { .. } if start < lo => continue,
+                Entry::Leaf { .. } => removed += 1,
+                Entry::Table(t) => {
+                    removed += t.unmap_span(start, level - 1, lo, hi);
+                    if t.live > 0 {
+                        continue;
+                    }
+                }
+            }
+            *entry = Entry::Empty;
+            self.live -= 1;
+        }
+        removed
+    }
 }
 
 /// Index of `va` at `level` (4 = PML4 .. 1 = PT).
@@ -200,11 +228,81 @@ impl PageTable {
             return Err(PtError::Misaligned);
         }
         let target = leaf_level(size);
+        let table = self.table_for(va.0, target)?;
+        let entry = &mut table.entries[index(va.0, target)];
+        if !matches!(entry, Entry::Empty) {
+            return Err(PtError::AlreadyMapped);
+        }
+        *entry = Entry::Leaf {
+            pa: pa.0,
+            flags: fl | flags::PRESENT,
+        };
+        table.live += 1;
+        self.mapped_pages += 1;
+        Ok(())
+    }
+
+    /// Map `frames[i]` at `va + i * 4 KiB` with 4 KiB leaves, exactly as
+    /// that many [`map`](Self::map) calls in order would, but descending
+    /// once per level-1 table. On error, returns how many pages were
+    /// mapped before the page that failed, and that page's error.
+    pub fn map_4k_run(
+        &mut self,
+        va: VirtAddr,
+        frames: &[PhysAddr],
+        fl: u8,
+    ) -> Result<(), (usize, PtError)> {
+        let mut done = 0;
+        while done < frames.len() {
+            let cur = va.0 + done as u64 * PAGE_4K;
+            // The pages of one level-1 table share one 2 MiB-aligned span,
+            // so they share canonicity and `va`'s alignment.
+            let chunk = &frames[done..frames.len().min(done + 512 - index(cur, 1))];
+            let fail = if !VirtAddr(cur).is_canonical() {
+                Some((0, PtError::NonCanonical))
+            } else if !is_aligned(cur, PAGE_4K) {
+                Some((0, PtError::Misaligned))
+            } else {
+                chunk
+                    .iter()
+                    .position(|pa| !is_aligned(pa.0, PAGE_4K))
+                    .map(|i| (i, PtError::Misaligned))
+            };
+            let ok = fail.map_or(chunk.len(), |(i, _)| i);
+            if ok > 0 {
+                let table = self.table_for(cur, 1).map_err(|e| (done, e))?;
+                let mut filled = 0;
+                for (pa, entry) in chunk[..ok].iter().zip(&mut table.entries[index(cur, 1)..]) {
+                    if !matches!(entry, Entry::Empty) {
+                        break;
+                    }
+                    *entry = Entry::Leaf {
+                        pa: pa.0,
+                        flags: fl | flags::PRESENT,
+                    };
+                    filled += 1;
+                }
+                table.live += filled as u16;
+                self.mapped_pages += filled as u64;
+                if filled < ok {
+                    return Err((done + filled, PtError::AlreadyMapped));
+                }
+            }
+            if let Some((i, e)) = fail {
+                return Err((done + i, e));
+            }
+            done += chunk.len();
+        }
+        Ok(())
+    }
+
+    /// The level-`level` table on the walk to `va`, creating missing
+    /// tables on the way down. A larger leaf in the way is `AlreadyMapped`.
+    fn table_for(&mut self, va: u64, level: u8) -> Result<&mut Table, PtError> {
         let mut table = &mut self.root;
-        let mut level = 4u8;
-        while level > target {
-            let idx = index(va.0, level);
-            match &mut table.entries[idx] {
+        for l in (level + 1..=4).rev() {
+            let idx = index(va, l);
+            match &table.entries[idx] {
                 Entry::Empty => {
                     table.entries[idx] = Entry::Table(Table::new());
                     table.live += 1;
@@ -214,23 +312,10 @@ impl PageTable {
             }
             table = match &mut table.entries[idx] {
                 Entry::Table(t) => t,
-                _ => unreachable!(),
+                _ => unreachable!("just checked or created"),
             };
-            level -= 1;
         }
-        let idx = index(va.0, target);
-        match &table.entries[idx] {
-            Entry::Empty => {
-                table.entries[idx] = Entry::Leaf {
-                    pa: pa.0,
-                    flags: fl | flags::PRESENT,
-                };
-                table.live += 1;
-                self.mapped_pages += 1;
-                Ok(())
-            }
-            _ => Err(PtError::AlreadyMapped),
-        }
+        Ok(table)
     }
 
     /// Remove the mapping covering `va`; returns what was mapped. Tables
@@ -244,6 +329,26 @@ impl PageTable {
         let removed = self.root.unmap(va.0, 4)?;
         self.mapped_pages -= 1;
         Ok(removed)
+    }
+
+    /// Remove every leaf whose base address lies in `[va, va + len)` — for
+    /// a page-aligned range, the leaves [`unmap`](Self::unmap) would remove
+    /// at each of its pages — clearing whole spans of each table and
+    /// freeing every table left empty (never the root). Returns the number
+    /// of leaves removed.
+    pub fn unmap_range(&mut self, va: VirtAddr, len: u64) -> u64 {
+        if !va.is_canonical() {
+            return 0;
+        }
+        // Tables index the low 48 bits; the range ends where `va`'s
+        // canonical half does.
+        let lo = va.0 & ((1 << 48) - 1);
+        let half_end = if lo < 1 << 47 { 1 << 47 } else { 1 << 48 };
+        let removed = self
+            .root
+            .unmap_span(0, 4, lo, lo.saturating_add(len).min(half_end));
+        self.mapped_pages -= removed;
+        removed
     }
 
     /// Translate `va` to a physical address.
@@ -417,6 +522,30 @@ mod tests {
         pt.unmap(VirtAddr(va)).unwrap();
         assert_eq!(pt.root.live, 0);
         assert!(pt.root.entries.iter().all(|e| matches!(e, Entry::Empty)));
+    }
+
+    #[test]
+    fn span_calls_cross_table_boundaries_and_free_tables() {
+        // 600 pages from 3 pages below 1 GiB: four level-1 tables under
+        // two level-2 tables.
+        let mut pt = PageTable::new();
+        let va = crate::addr::PAGE_1G - 3 * PAGE_4K;
+        let frames: Vec<_> = (0..600).map(|i| PhysAddr(i * PAGE_4K)).collect();
+        pt.map_4k_run(VirtAddr(va), &frames, 0).unwrap();
+        assert_eq!(pt.mapped_pages(), 600);
+        let last = pt.translate(VirtAddr(va + 599 * PAGE_4K)).unwrap();
+        assert_eq!(last.pa, PhysAddr(599 * PAGE_4K));
+        // Mapping over it stops at the first taken page.
+        let more: Vec<_> = (0..4).map(|i| PhysAddr(i * PAGE_4K)).collect();
+        let at = VirtAddr(va - 2 * PAGE_4K);
+        assert_eq!(
+            pt.map_4k_run(at, &more, 0),
+            Err((2, PtError::AlreadyMapped))
+        );
+        assert_eq!(pt.unmap_range(VirtAddr(va + PAGE_4K), 1 << 30), 599);
+        assert_eq!(pt.unmap_range(at, 3 * PAGE_4K), 3);
+        assert_eq!(pt.mapped_pages(), 0);
+        assert_eq!(pt.root.live, 0);
     }
 
     #[test]

@@ -71,9 +71,12 @@ pub struct Vma {
     pub pinned: bool,
     /// `get_user_pages` pin references currently outstanding.
     pub gup_pins: u64,
+    /// 4 KiB frames backing a `Fragmented4k` mapping, in virtual order.
+    frames: Vec<PhysAddr>,
+    /// Buddy blocks backing a `ContiguousLarge` mapping.
     blocks: Vec<OwnedBlock>,
-    /// Page-table leaves installed for this VMA: `(va, page_size)`.
-    leaves: Vec<(VirtAddr, PageSize)>,
+    /// Page-table leaves installed for this VMA.
+    leaves: u64,
 }
 
 /// Result of a `get_user_pages()` call: the 4 KiB frames backing the range.
@@ -111,6 +114,9 @@ impl SpaceImage {
         let mut vmas = self.vmas.clone();
         if delta != 0 {
             for vma in vmas.values_mut() {
+                for pa in vma.frames.iter_mut() {
+                    *pa = *pa + delta;
+                }
                 for b in vma.blocks.iter_mut() {
                     b.pa = b.pa + delta;
                 }
@@ -289,8 +295,9 @@ impl AddressSpace {
             len,
             pinned,
             gup_pins: 0,
+            frames: Vec::new(),
             blocks: Vec::new(),
-            leaves: Vec::new(),
+            leaves: 0,
         };
         let mut stats = MapStats::default();
         let result = match policy {
@@ -303,7 +310,7 @@ impl AddressSpace {
         };
         if let Err(e) = result {
             // Roll back everything this VMA touched.
-            teardown_vma(&mut img.page_table, phys, &mut vma);
+            teardown_vma(&mut img.page_table, phys, vma);
             return Err(e);
         }
         img.vmas.insert(va.0, vma);
@@ -315,16 +322,14 @@ impl AddressSpace {
     /// removed (feeds the TLB-shootdown cost model).
     pub fn munmap(&mut self, phys: &mut BuddyAllocator, va: VirtAddr) -> Result<u64, MapError> {
         let img = self.image_mut();
-        let mut vma = img.vmas.remove(&va.0).ok_or(MapError::Invalid)?;
+        let vma = img.vmas.remove(&va.0).ok_or(MapError::Invalid)?;
         if vma.gup_pins > 0 {
             // Pages pinned by get_user_pages can't be unmapped from under
             // the device.
             img.vmas.insert(va.0, vma);
             return Err(MapError::Pinned);
         }
-        let leaves = vma.leaves.len() as u64;
-        teardown_vma(&mut img.page_table, phys, &mut vma);
-        Ok(leaves)
+        Ok(teardown_vma(&mut img.page_table, phys, vma))
     }
 
     /// Linux-style `get_user_pages()`: translate and pin every 4 KiB page
@@ -403,20 +408,16 @@ fn populate_fragmented(
     vma: &mut Vma,
     stats: &mut MapStats,
 ) -> Result<(), MapError> {
-    let mut off = 0;
-    while off < vma.len {
-        let frame = phys.alloc(0)?;
-        vma.blocks.push(OwnedBlock {
-            pa: frame,
-            order: 0,
-        });
-        stats.blocks_allocated += 1;
-        let va = vma.start + off;
-        pt.map(va, frame, PageSize::Size4K, user_flags(vma.pinned))?;
-        vma.leaves.push((va, PageSize::Size4K));
-        stats.leaves_mapped += 1;
-        off += PAGE_4K;
-    }
+    let pages = vma.len / PAGE_4K;
+    phys.alloc_pages(pages as usize, &mut vma.frames)?;
+    let mapped = pt.map_4k_run(vma.start, &vma.frames, user_flags(vma.pinned));
+    vma.leaves = match mapped {
+        Ok(()) => pages,
+        Err((n, _)) => n as u64,
+    };
+    mapped.map_err(|(_, e)| e)?;
+    stats.blocks_allocated += pages;
+    stats.leaves_mapped += pages;
     Ok(())
 }
 
@@ -440,7 +441,7 @@ fn populate_contiguous(
                 });
                 stats.blocks_allocated += 1;
                 pt.map(va, frame, PageSize::Size2M, user_flags(vma.pinned))?;
-                vma.leaves.push((va, PageSize::Size2M));
+                vma.leaves += 1;
                 stats.leaves_mapped += 1;
                 stats.large_leaves += 1;
                 off += PAGE_2M;
@@ -463,7 +464,7 @@ fn populate_contiguous(
                 PageSize::Size4K,
                 user_flags(vma.pinned),
             )?;
-            vma.leaves.push((va + inner, PageSize::Size4K));
+            vma.leaves += 1;
             stats.leaves_mapped += 1;
             inner += PAGE_4K;
         }
@@ -472,13 +473,28 @@ fn populate_contiguous(
     Ok(())
 }
 
-fn teardown_vma(pt: &mut PageTable, phys: &mut BuddyAllocator, vma: &mut Vma) {
-    for (va, _) in vma.leaves.drain(..) {
-        let _ = pt.unmap(va);
+/// Unmap `vma` and give its frames back to `phys`; returns the number of
+/// leaves removed.
+fn teardown_vma(pt: &mut PageTable, phys: &mut BuddyAllocator, vma: Vma) -> u64 {
+    let leaves = pt.unmap_range(vma.start, vma.len);
+    debug_assert_eq!(
+        leaves, vma.leaves,
+        "leaf count of the VMA at {:?}",
+        vma.start
+    );
+    let freed = phys.free_pages(&vma.frames);
+    debug_assert_eq!(freed, Ok(()), "frames of the VMA at {:?}", vma.start);
+    for b in vma.blocks {
+        let freed = phys.free(b.pa, b.order);
+        debug_assert_eq!(
+            freed,
+            Ok(()),
+            "block {:?} of the VMA at {:?}",
+            b.pa,
+            vma.start
+        );
     }
-    for b in vma.blocks.drain(..) {
-        let _ = phys.free(b.pa, b.order);
-    }
+    leaves
 }
 
 fn user_flags(pinned: bool) -> u8 {

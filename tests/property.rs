@@ -7,7 +7,10 @@
 
 use pico_dwarf::leb128;
 use pico_mem::buddy::{block_size, MAX_ORDER};
-use pico_mem::{AddressSpace, BuddyAllocator, BuddyError, MapPolicy, PhysAddr, VirtAddr, PAGE_4K};
+use pico_mem::{
+    AddressSpace, BuddyAllocator, BuddyError, MapPolicy, PageSize, PageTable, PhysAddr, VirtAddr,
+    PAGE_1G, PAGE_2M, PAGE_4K,
+};
 use pico_mpi::coll;
 use pico_sim::{EventQueue, HeapEventQueue, Ns, Rng, ServerPool};
 use std::collections::BTreeSet;
@@ -97,10 +100,10 @@ impl RefBuddy {
         {
             return Err(BuddyError::BadFree);
         }
-        let rel = addr.0 - self.base;
-        if (0..=MAX_ORDER).any(|o| {
-            let container = self.base + rel / block_size(o) * block_size(o);
-            self.free[o as usize].contains(&container)
+        // The block must overlap no free block of any order.
+        if self.free.iter().enumerate().any(|(o, set)| {
+            let reach = (addr.0 + 1).saturating_sub(block_size(o as u8));
+            set.range(reach..addr.0 + bs).next().is_some()
         }) {
             return Err(BuddyError::BadFree);
         }
@@ -138,6 +141,23 @@ impl RefBuddy {
             .find(|&o| !self.free[o as usize].is_empty())
     }
 
+    /// `n` calls of `alloc(0)`, stopping at the first failure.
+    fn alloc_pages(&mut self, n: usize, out: &mut Vec<PhysAddr>) -> Result<(), BuddyError> {
+        for _ in 0..n {
+            out.push(self.alloc(0)?);
+        }
+        Ok(())
+    }
+
+    /// One `free(pa, 0)` per frame; refused if any of them was.
+    fn free_pages(&mut self, frames: &[PhysAddr]) -> Result<(), BuddyError> {
+        let refused = frames.iter().filter(|&&pa| self.free(pa, 0).is_err());
+        match refused.count() {
+            0 => Ok(()),
+            _ => Err(BuddyError::BadFree),
+        }
+    }
+
     fn fragment(&mut self, fraction: f64) -> Vec<PhysAddr> {
         let pages = ((self.size as f64 * fraction) / PAGE_4K as f64) as u64;
         let taken: Vec<_> = (0..pages).map_while(|_| self.alloc(0).ok()).collect();
@@ -156,7 +176,8 @@ impl RefBuddy {
 /// The buddy allocator conserves memory under arbitrary alloc/free
 /// interleavings, never double-allocates a region, and makes exactly the
 /// choices of the `BTreeSet` reference model: every `alloc`/`free`
-/// result (bad and double frees included), `allocated()` and
+/// result (bad and double frees included, and the free of a block one of
+/// whose frames was freed first), `allocated()` and
 /// `largest_free_order()` match, across `fragment`, a `clone_rebased`
 /// partway through, non-zero bases and non-power-of-two sizes.
 #[test]
@@ -209,6 +230,24 @@ fn buddy_conservation() {
                     assert_eq!(b.free(a, ao), Err(BuddyError::BadFree), "case {case}");
                     assert_eq!(oracle.free(a, ao), Err(BuddyError::BadFree), "case {case}");
                 }
+            } else if r.chance(0.1) && live.iter().any(|&(_, o)| o > 0) {
+                // Free a non-first 4 KiB frame of a live block, then the
+                // whole block: it now overlaps free memory and must be
+                // refused. Its other frames stay live as single frames.
+                let i = live.iter().rposition(|&(_, o)| o > 0).expect("checked");
+                let (pa, o) = live.swap_remove(i);
+                let pages = block_size(o) / PAGE_4K;
+                let k = 1 + r.gen_range(pages - 1);
+                let sub = PhysAddr(pa.0 + k * PAGE_4K);
+                assert_eq!(b.free(sub, 0), Ok(()), "case {case}");
+                assert_eq!(oracle.free(sub, 0), Ok(()), "case {case}");
+                assert_eq!(b.free(pa, o), Err(BuddyError::BadFree), "case {case}");
+                assert_eq!(oracle.free(pa, o), Err(BuddyError::BadFree), "case {case}");
+                live.extend(
+                    (0..pages)
+                        .filter(|&j| j != k)
+                        .map(|j| (PhysAddr(pa.0 + j * PAGE_4K), 0)),
+                );
             } else if r.chance(0.2) {
                 // A wild free that overlaps no live block: misaligned, out
                 // of range or over free memory, it must be refused.
@@ -252,6 +291,149 @@ fn buddy_conservation() {
             oracle.largest_free_order(),
             "case {case}"
         );
+    }
+}
+
+/// `alloc_pages(n)` and `free_pages` make exactly the choices of `n`
+/// calls of `alloc(0)` and of one `free(pa, 0)` per frame on the
+/// reference model: the same frames in the same order, the same prefix
+/// and error when memory runs out mid-run, and `BadFree` for batches
+/// with duplicate, misaligned, out-of-range or already-free frames. On
+/// partly fragmented pools the runs drain the order-0 holes and go on by
+/// splitting, and freed batches hold frames whose buddy is free (the
+/// single-frame fallback).
+#[test]
+fn buddy_batch_calls_match_single_frame_calls() {
+    for case in 0..48 {
+        let mut r = case_rng(0x00BA_7C4E, case);
+        let base = if case % 2 == 0 {
+            0
+        } else {
+            r.gen_range(1 << 20) * PAGE_4K
+        };
+        let size = ((1 + r.gen_range(8)) << 20) + r.gen_range(256) * PAGE_4K;
+        let pages = size / PAGE_4K;
+        let mut b = BuddyAllocator::new(PhysAddr(base), size);
+        let mut oracle = RefBuddy::new(base, size);
+        let mut live = Vec::new();
+        if r.chance(0.7) {
+            let fraction = r.gen_range(80) as f64 / 100.0;
+            let held = b.fragment(fraction);
+            assert_eq!(held, oracle.fragment(fraction), "case {case}");
+            live.extend(held);
+        }
+        let mut freed: Vec<PhysAddr> = Vec::new();
+        for _ in 0..24 {
+            if r.chance(0.5) {
+                let n = r.gen_range(pages / 3) as usize;
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let res = b.alloc_pages(n, &mut got);
+                assert_eq!(res, oracle.alloc_pages(n, &mut want), "case {case}");
+                assert_eq!(got, want, "case {case}");
+                live.extend(got);
+            } else {
+                let mut batch = Vec::new();
+                for _ in 0..r.gen_range(live.len() as u64 + 1) {
+                    let i = r.gen_range(live.len() as u64) as usize;
+                    batch.push(live.swap_remove(i));
+                }
+                for _ in 0..r.gen_range(4) {
+                    let bad = match r.gen_range(5) {
+                        0 if !batch.is_empty() => batch[r.gen_range(batch.len() as u64) as usize],
+                        1 => PhysAddr(base + r.gen_range(pages) * PAGE_4K + 0x10),
+                        2 => PhysAddr(base + size + r.gen_range(4) * PAGE_4K),
+                        3 if base > 0 => PhysAddr(base - PAGE_4K),
+                        _ if !freed.is_empty() => freed[r.gen_range(freed.len() as u64) as usize],
+                        _ => PhysAddr(base + size),
+                    };
+                    let at = r.gen_range(batch.len() as u64 + 1) as usize;
+                    batch.insert(at, bad);
+                }
+                let res = b.free_pages(&batch);
+                assert_eq!(res, oracle.free_pages(&batch), "case {case}");
+                freed.extend(batch);
+            }
+            assert_eq!(b.allocated(), oracle.allocated, "case {case}");
+            assert_eq!(
+                b.largest_free_order(),
+                oracle.largest_free_order(),
+                "case {case}"
+            );
+        }
+        // Draining both hands out every remaining free frame in order.
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let res = b.alloc_pages(pages as usize, &mut got);
+        assert_eq!(
+            res,
+            oracle.alloc_pages(pages as usize, &mut want),
+            "case {case}"
+        );
+        assert_eq!(got, want, "case {case}");
+    }
+}
+
+/// `map_4k_run` and `unmap_range` leave a page table exactly as the
+/// per-page `map` and `unmap` calls they stand for: the same error and
+/// mapped-prefix count, the same `mapped_pages` and translations, and
+/// the same tree of tables, so every table a range unmap empties is
+/// freed. Runs cross 2 MiB and 1 GiB boundaries and collide with
+/// existing 4 KiB and 2 MiB leaves.
+#[test]
+fn page_table_spans_match_per_page_calls() {
+    for case in 0..32 {
+        let mut r = case_rng(0x0005_9A45, case);
+        let (mut span, mut model) = (PageTable::new(), PageTable::new());
+        // Eight 2 MiB slots around a 1 GiB boundary.
+        let origin = (1 + r.gen_range(4)) * PAGE_1G - 4 * PAGE_2M;
+        let window = 8 * PAGE_2M / PAGE_4K;
+        for _ in 0..16 {
+            let va = VirtAddr(origin + r.gen_range(window) * PAGE_4K);
+            match r.gen_range(4) {
+                0 => {
+                    let (at, size) = if r.chance(0.5) {
+                        (va.align_down(PAGE_2M), PageSize::Size2M)
+                    } else {
+                        (va, PageSize::Size4K)
+                    };
+                    let pa = PhysAddr(r.gen_range(1 << 20) * size.bytes());
+                    assert_eq!(span.map(at, pa, size, 0), model.map(at, pa, size, 0));
+                }
+                1 | 2 => {
+                    let n = r.gen_range(1200) as usize;
+                    let frames: Vec<_> = (0..n)
+                        .map(|_| {
+                            let skew = if r.chance(0.0005) { 0x10 } else { 0 };
+                            PhysAddr(r.gen_range(1 << 30) * PAGE_4K + skew)
+                        })
+                        .collect();
+                    let fl = r.gen_range(16) as u8;
+                    let want = frames.iter().enumerate().try_for_each(|(i, &pa)| {
+                        let page = va + i as u64 * PAGE_4K;
+                        model
+                            .map(page, pa, PageSize::Size4K, fl)
+                            .map_err(|e| (i, e))
+                    });
+                    assert_eq!(span.map_4k_run(va, &frames, fl), want, "case {case}");
+                }
+                _ => {
+                    let len = r.gen_range(1500) * PAGE_4K;
+                    let want = (0..len / PAGE_4K)
+                        .filter(|i| model.unmap(va + i * PAGE_4K).is_ok())
+                        .count() as u64;
+                    assert_eq!(span.unmap_range(va, len), want, "case {case}");
+                }
+            }
+            assert_eq!(span.mapped_pages(), model.mapped_pages(), "case {case}");
+            assert_eq!(format!("{span:?}"), format!("{model:?}"), "case {case}");
+        }
+        for i in 0..window + 1200 {
+            let page = VirtAddr(origin + i * PAGE_4K);
+            assert_eq!(span.translate(page), model.translate(page), "case {case}");
+        }
+        // Unmapping everything leaves only the (empty) root.
+        span.unmap_range(VirtAddr(0), 1 << 47);
+        assert_eq!(span.mapped_pages(), 0, "case {case}");
+        assert_eq!(format!("{span:?}"), format!("{:?}", PageTable::new()));
     }
 }
 
