@@ -9,8 +9,6 @@
 #                    (--full: adds the 256-node sharded-engine speedup gate,
 #                    the 1024/4096/16384/65536-node weak-scaling sweep with
 #                    peak-memory reporting, the streaming-stat memory gate,
-#                    the sparse shard-state gate at 4096 nodes / 64
-#                    shards (≥8× below the dense layout, bit-identical),
 #                    and the flyweight node-model gate at 16384 nodes
 #                    (≥4× less peak heap, ≥3× faster world construction
 #                    than the eager per-node boot, bit-identical digests);
@@ -38,7 +36,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustfmt check =="
 cargo fmt --all --check
 
-echo "== simbench smoke gate (queue speedup, train batching, clamped events) =="
+echo "== simbench smoke gate (queue speedup, flow/sink coalescing, incast oracle, clamped events) =="
 cargo run --release -p pico-bench --bin simbench -- --smoke
 
 if [[ "${1:-}" == "--bench" ]]; then

@@ -9,9 +9,9 @@
 //! 10% in the regressing direction fails the run with exit code 1 —
 //! the scheduled CI job turns red while per-push CI stays untouched.
 //! Each metric carries a direction: throughput figures
-//! (`events_per_sec`, queue speedup) and gate ratios (train / flow /
-//! incast event reductions, the stat-memory and shard-state
-//! reductions) regress when they *drop*; the weak-scaling memory
+//! (`events_per_sec`, queue speedup) and gate ratios (flow / incast
+//! event reductions, the stat-memory and node-model reductions) regress
+//! when they *drop*; the weak-scaling memory
 //! figures at every node point (`peak_alloc_bytes`, `stat_bytes`,
 //! `shard_state_bytes`) regress when they *grow*. A missing or unreadable
 //! *previous* artifact is not an error: the first nightly run (or a
@@ -66,12 +66,12 @@ fn metrics(doc: &Json) -> Vec<(String, f64, Dir)> {
     for row in doc.get("trains").and_then(Json::as_arr).unwrap_or(&[]) {
         let os = row.get("os").and_then(Json::as_str).unwrap_or("?");
         push(
-            format!("trains[{os}].event_reduction"),
-            row.get("event_reduction"),
-        );
-        push(
             format!("trains[{os}].event_reduction_flows"),
             row.get("event_reduction_flows"),
+        );
+        push(
+            format!("trains[{os}].event_reduction_incast"),
+            row.get("event_reduction_incast"),
         );
     }
     for row in doc.get("incast").and_then(Json::as_arr).unwrap_or(&[]) {
@@ -130,8 +130,8 @@ fn metrics(doc: &Json) -> Vec<(String, f64, Dir)> {
             Dir::LowerIsBetter,
         );
     }
-    // The memory gates' reduction ratios: the in-run gates enforce the
-    // 4x / 8x floors; trending catches slow erosion well above them.
+    // The stat-memory gate's reduction ratio: the in-run gate enforces
+    // the 4x floor; trending catches slow erosion well above it.
     if let Some(g) = doc.get("stat_gate") {
         let nodes = g.get("nodes").and_then(Json::as_f64).unwrap_or(0.0);
         push_dir(
@@ -139,21 +139,6 @@ fn metrics(doc: &Json) -> Vec<(String, f64, Dir)> {
             format!("stat_gate[n{nodes}].reduction"),
             g.get("reduction"),
             Dir::HigherIsBetter,
-        );
-    }
-    if let Some(g) = doc.get("shard_state_gate") {
-        let nodes = g.get("nodes").and_then(Json::as_f64).unwrap_or(0.0);
-        push_dir(
-            &mut out,
-            format!("shard_state_gate[n{nodes}].reduction"),
-            g.get("reduction"),
-            Dir::HigherIsBetter,
-        );
-        push_dir(
-            &mut out,
-            format!("shard_state_gate[n{nodes}].shard_state_bytes"),
-            g.get("shard_state_bytes"),
-            Dir::LowerIsBetter,
         );
     }
     // The flyweight node-model gate: the in-run gate enforces the 4x

@@ -33,21 +33,18 @@ impl OsConfig {
     pub const ALL: [OsConfig; 3] = [OsConfig::Linux, OsConfig::McKernel, OsConfig::McKernelHfi];
 }
 
-/// How same-link packet bursts travel through the fabric model. The three
-/// values form a reference tower: each faster mode is equivalence-tested
-/// against the one below it the way the timing wheel is tested against
-/// `HeapEventQueue`.
+/// How same-link packet bursts travel through the fabric model. The
+/// per-packet model is the reference; `Flows` is kept as the data-plane
+/// oracle of `Incast` (bit-identical bulk arrivals on the simbench
+/// incast patterns), the way `HeapEventQueue` backs the timing wheel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FabricMode {
     /// One `Ev::Packet` per hop — the per-packet reference model.
     PerPacket,
-    /// PR 2 behaviour: coalesce each dispatch's same-link burst into one
-    /// fabric reservation and one delivery event with an analytic
-    /// per-packet arrival spread; the train dies at the flush boundary.
-    Trains,
-    /// Persistent per-link flows: the train stays open across dispatches,
-    /// successive flushes extend the fabric reservation, and delivery
-    /// rides the zero-event soft schedule; only conflicts (lazy resplit),
+    /// Persistent per-link flows: each dispatch's same-link burst is
+    /// coalesced into one fabric reservation that stays open across
+    /// dispatches, successive flushes extend it, and delivery rides the
+    /// zero-event soft schedule; only conflicts (lazy resplit),
     /// `flow_linger_ns` idleness, or the member cap close a flow.
     Flows,
     /// Destination-rooted incast flow graph: one sink per destination
@@ -60,18 +57,9 @@ pub enum FabricMode {
 }
 
 impl FabricMode {
-    /// Whether bursts are coalesced at all (trains, flows, or sinks).
+    /// Whether bursts are coalesced at all (flows or sinks).
     pub fn batches(self) -> bool {
         self != FabricMode::PerPacket
-    }
-    /// Whether trains persist across dispatches as per-link flows.
-    pub fn flows(self) -> bool {
-        self == FabricMode::Flows
-    }
-    /// Whether deliveries ride the cross-dispatch soft schedule (per-link
-    /// flows or per-destination sinks).
-    pub fn soft(self) -> bool {
-        matches!(self, FabricMode::Flows | FabricMode::Incast)
     }
     /// Whether flows are merged into destination-rooted sinks.
     pub fn incast(self) -> bool {
@@ -83,8 +71,8 @@ impl FabricMode {
 /// reference model (one timing wheel, one thread); the sharded engine
 /// partitions the cluster by node into per-shard wheels executed on
 /// worker threads under conservative lookahead. The two are
-/// equivalence-tested against each other the way the fabric-mode tower
-/// tests `Trains`/`Flows`/`Incast` against `PerPacket`.
+/// equivalence-tested against each other the way the fabric modes
+/// test `Flows`/`Incast` against `PerPacket`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// One global timing wheel walked by one thread — the reference.
@@ -95,7 +83,8 @@ pub enum EngineMode {
     /// traffic travels through per-destination-shard inboxes committed
     /// at the window boundary. Requires [`FabricMode::Incast`] (the
     /// destination-rooted sinks are what make every cross-node delivery
-    /// a sink merge, i.e. routable by destination).
+    /// a sink merge, i.e. routable by destination); `World::new` panics
+    /// on any other fabric mode.
     Sharded,
 }
 
@@ -192,16 +181,6 @@ pub struct ClusterConfig {
     /// state, which is exactly what capped the sweeps at 256 nodes. The
     /// equivalence tests that compare finish times rank by rank opt in.
     pub record_per_rank: bool,
-    /// Size every shard's fabric gates and node-indexed structures
-    /// (`node_pending`, sink roots) to the **full cluster** instead of
-    /// the shard's own node range. Off by default: the dense layout
-    /// costs O(shards × total_nodes) memory and exists as the reference
-    /// the sparse layout is equivalence-tested (and its ≥8× memory gate
-    /// measured) against. Results are bit-identical either way — a
-    /// shard only ever touches its own nodes' state, and a sparse
-    /// remote entry is created on first touch with exactly a fresh
-    /// gate's state. Single-queue runs always span every node.
-    pub dense_shard_state: bool,
     /// Boot every node eagerly — full dense driver register files, dense
     /// TID receive arrays, dense per-core block pools, and a privately
     /// built address space and buddy allocator per node — instead of the
@@ -253,7 +232,6 @@ impl ClusterConfig {
             threads: None,
             shards: None,
             record_per_rank: false,
-            dense_shard_state: false,
             eager_node_model: false,
         }
     }

@@ -1,7 +1,7 @@
 //! Full-stack smoke tests: small jobs through the complete node model.
 
 use pico_apps::{App, JobShape};
-use pico_cluster::{paper_config, run_app, ClusterConfig, FabricMode, OsConfig};
+use pico_cluster::{paper_config, run_app, ClusterConfig, EngineMode, FabricMode, OsConfig, World};
 use pico_ihk::Sysno;
 use pico_mpi::MpiCall;
 
@@ -165,10 +165,10 @@ fn backed_run_delivers_payloads() {
 }
 
 /// A 4 MB rendezvous ping-pong drives 8-window SDMA bursts through the
-/// train path while the receiver is busy copying earlier windows: later
-/// members park behind the copy and drain at one coalesced wake. Both
-/// coalescing modes must agree with the per-packet reference exactly
-/// while spending far fewer events — and flows fewer still than trains.
+/// coalescing path while the receiver is busy copying earlier windows:
+/// later members park behind the copy and drain at one coalesced wake.
+/// Both coalescing modes must agree with the per-packet reference
+/// exactly while spending far fewer events.
 #[test]
 fn train_parks_members_behind_busy_rank() {
     for os in OsConfig::ALL {
@@ -176,58 +176,65 @@ fn train_parks_members_behind_busy_rank() {
             bytes: 4 << 20,
             reps: 8,
         };
-        let mut trains = paper_config(os, app, 2, Some(1));
-        trains.batch_fabric = FabricMode::Trains;
-        let mut off = trains.clone();
+        let mut off = paper_config(os, app, 2, Some(1));
         off.batch_fabric = FabricMode::PerPacket;
-        let mut flows = trains.clone();
-        flows.batch_fabric = FabricMode::Flows;
-        let ron = run_app(trains, app, 1);
-        let roff = run_app(off, app, 1);
-        let rflow = run_app(flows, app, 1);
-        assert_eq!(ron.ranks_done, 2, "{os:?}");
-        assert_eq!(ron.clamped_events, 0, "{os:?}");
+        let roff = run_app(off.clone(), app, 1);
+        assert_eq!(roff.ranks_done, 2, "{os:?}");
         assert_eq!(roff.clamped_events, 0, "{os:?}");
-        assert_eq!(rflow.clamped_events, 0, "{os:?}");
-        assert!(
-            ron.fabric_trains > 0 && ron.fabric_max_train >= 4,
-            "{os:?}: rendezvous windows must coalesce into trains (got {} trains, max {})",
-            ron.fabric_trains,
-            ron.fabric_max_train
-        );
         assert_eq!(
             roff.fabric_trains, 0,
             "{os:?}: reference path must not batch"
         );
-        assert_eq!(
-            ron.wall_time, roff.wall_time,
-            "{os:?}: parking and wake coalescing under trains must match the reference"
-        );
-        assert_eq!(
-            rflow.wall_time, roff.wall_time,
-            "{os:?}: persistent flows must match the reference"
-        );
-        assert_eq!(ron.delivered_payloads, roff.delivered_payloads, "{os:?}");
-        assert_eq!(rflow.delivered_payloads, roff.delivered_payloads, "{os:?}");
-        assert!(
-            ron.sim_events < roff.sim_events,
-            "{os:?}: trains must reduce event count ({} vs {})",
-            ron.sim_events,
-            roff.sim_events
-        );
-        assert!(
-            rflow.sim_events < ron.sim_events,
-            "{os:?}: flows must beat trains ({} vs {})",
-            rflow.sim_events,
-            ron.sim_events
-        );
-        assert!(
-            rflow.fabric_flows > 0 && rflow.soft_deliveries > 0,
-            "{os:?}: the flow run must exercise the soft schedule ({} flows, {} soft)",
-            rflow.fabric_flows,
-            rflow.soft_deliveries
-        );
+        for mode in [FabricMode::Flows, FabricMode::Incast] {
+            let mut cfg = off.clone();
+            cfg.batch_fabric = mode;
+            let res = run_app(cfg, app, 1);
+            assert_eq!(res.ranks_done, 2, "{os:?} {mode:?}");
+            assert_eq!(res.clamped_events, 0, "{os:?} {mode:?}");
+            assert!(
+                res.fabric_trains > 0 && res.fabric_max_train >= 4,
+                "{os:?} {mode:?}: rendezvous windows must coalesce into trains \
+                 (got {} trains, max {})",
+                res.fabric_trains,
+                res.fabric_max_train
+            );
+            assert_eq!(
+                res.wall_time, roff.wall_time,
+                "{os:?} {mode:?}: parking and wake coalescing must match the reference"
+            );
+            assert_eq!(
+                res.delivered_payloads, roff.delivered_payloads,
+                "{os:?} {mode:?}"
+            );
+            assert!(
+                res.sim_events < roff.sim_events,
+                "{os:?} {mode:?}: coalescing must reduce event count ({} vs {})",
+                res.sim_events,
+                roff.sim_events
+            );
+            assert!(
+                res.soft_deliveries > 0,
+                "{os:?} {mode:?}: the run must exercise the soft schedule"
+            );
+        }
     }
+}
+
+/// The sharded engine routes every cross-node delivery through a
+/// destination sink, so it runs only under `FabricMode::Incast`; any
+/// other fabric mode is refused at construction instead of silently
+/// running the single-queue engine.
+#[test]
+#[should_panic(expected = "EngineMode::Sharded requires FabricMode::Incast, not FabricMode::Flows")]
+fn sharded_engine_refuses_non_incast_fabric() {
+    let app = App::PingPong {
+        bytes: 8 * 1024,
+        reps: 1,
+    };
+    let mut cfg = paper_config(OsConfig::Linux, app, 2, Some(1));
+    cfg.engine = EngineMode::Sharded;
+    cfg.batch_fabric = FabricMode::Flows;
+    World::new(cfg, app, 1);
 }
 
 /// Backed (payload-carrying) runs of every CORAL skeleton through the

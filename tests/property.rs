@@ -635,9 +635,9 @@ fn wheel_pops_heap_sequence() {
     }
 }
 
-/// Packet trains, persistent flows, and destination-rooted sinks are
-/// pure event-count optimizations: every coalescing mode must produce
-/// the same physics as the per-packet reference model. Wall time must
+/// Persistent flows and destination-rooted sinks are pure event-count
+/// optimizations: both coalescing modes must produce the same physics
+/// as the per-packet reference model. Wall time must
 /// match within the documented tolerance (DESIGN.md "Packet trains" /
 /// "Fabric flows": 0.1% on these configs; coalesced delivery can
 /// reorder library entry against unrelated events, so bit-equality is
@@ -698,7 +698,6 @@ fn packet_trains_match_per_packet_reference() {
             };
             let mut cfg = ClusterConfig::paper(os, shape);
             cfg.seed = seed;
-            cfg.batch_fabric = FabricMode::Trains;
             // Exact per-rank vectors ride along so every run below also
             // witnesses FinishSketch ≡ record_per_rank on min/max/sum.
             cfg.record_per_rank = true;
@@ -706,11 +705,10 @@ fn packet_trains_match_per_packet_reference() {
             unbatched.batch_fabric = FabricMode::PerPacket;
             let mut flowed = cfg.clone();
             flowed.batch_fabric = FabricMode::Flows;
-            let mut sunk = cfg.clone();
+            let mut sunk = cfg;
             sunk.batch_fabric = FabricMode::Incast;
             let off = World::new(unbatched, app, iters).run();
             for (mode, res) in [
-                ("trains", World::new(cfg, app, iters).run()),
                 ("flows", World::new(flowed, app, iters).run()),
                 ("incast", World::new(sunk, app, iters).run()),
             ] {
@@ -1178,124 +1176,15 @@ fn sketch_quantile_error_bound() {
     }
 }
 
-/// The shard-local sparse state layout against the full-cluster dense
-/// reference (`cfg.dense_shard_state`), across the same application mix
-/// and OS configs as the engine equivalence test, at 1/2/4/8 workers.
-///
-/// The sparse layout sizes each shard's fabric gates, `node_pending`
-/// maps and sink roots to the shard's own node range (remote gate
-/// state created on first touch); the dense layout preallocates all of
-/// them for the whole cluster in every shard. A fresh bandwidth gate
-/// is bit-identical to a preallocated untouched one, so the two must
-/// agree on *every* engine counter — and the gate-state observables
-/// must show the sparse layout allocating exactly the cluster's nodes
-/// once in total, versus shards × nodes under the dense layout.
+/// A shard touches only its own nodes' fabric gates. In the sharded
+/// engine's inject/commit split the source half runs on the source's
+/// shard and the commit half on the destination's, so every gate access
+/// is to a shard-owned node — and a shard's fabric holds gates for its
+/// own node range only, panicking on any other. The all-to-all UMT halo
+/// exchange is the adversarial workload: every node talks to every
+/// other across four one-node shards.
 #[test]
-fn sparse_shard_state_matches_dense_layout() {
-    use pico_apps::{App, JobShape};
-    use pico_cluster::{ClusterConfig, EngineMode, FabricMode, OsConfig, World};
-
-    let apps = [
-        (
-            App::PingPong {
-                bytes: 8 * 1024,
-                reps: 6,
-            },
-            2,
-            1,
-            1u32,
-        ),
-        (
-            App::PingPong {
-                bytes: 2 << 20,
-                reps: 3,
-            },
-            2,
-            1,
-            1,
-        ),
-        (App::Umt2013, 4, 2, 2),
-        (App::Hacc, 4, 2, 2),
-        (App::Nekbone, 4, 2, 1),
-        (App::Lammps, 2, 2, 1),
-    ];
-    let mut case = 0u64;
-    for (app, nodes, rpn, iters) in apps {
-        for os in OsConfig::ALL {
-            let seed = case_rng(0x5BAF_5E11, case).next_u64();
-            case += 1;
-            let shape = JobShape {
-                nodes,
-                ranks_per_node: rpn,
-            };
-            let mut cfg = ClusterConfig::paper(os, shape);
-            cfg.seed = seed;
-            cfg.batch_fabric = FabricMode::Incast;
-            cfg.record_per_rank = true;
-            cfg.engine = EngineMode::Sharded;
-            cfg.threads = Some(2);
-            cfg.shards = Some(nodes as usize);
-            assert!(!cfg.dense_shard_state, "sparse is the default");
-            let mut dense_cfg = cfg.clone();
-            dense_cfg.dense_shard_state = true;
-            let sparse = World::new(cfg, app, iters).run();
-            let dense = World::new(dense_cfg, app, iters).run();
-            let label = format!("case {case} {app:?} {} nodes {nodes}", os.label());
-            assert_eq!(
-                engine_digest(&sparse),
-                engine_digest(&dense),
-                "{label}: sparse vs dense shard state"
-            );
-            // Gate-state observables: the sparse run materializes each
-            // node's gates exactly once across all shards (no shard
-            // ever touched a remote node's gates — the inject/commit
-            // split keeps every gate access shard-local); the dense
-            // run pays nodes × shards.
-            assert_eq!(sparse.shard_gate_nodes, nodes as u64, "{label}");
-            assert_eq!(dense.shard_gate_nodes, (nodes * nodes) as u64, "{label}");
-            assert!(
-                sparse.shard_state_bytes < dense.shard_state_bytes,
-                "{label}: sparse {} >= dense {}",
-                sparse.shard_state_bytes,
-                dense.shard_state_bytes
-            );
-        }
-    }
-
-    // Worker sweep: both layouts are worker-count-invariant and equal
-    // to each other at every thread count.
-    let shape = JobShape {
-        nodes: 4,
-        ranks_per_node: 2,
-    };
-    let mut cfg = ClusterConfig::paper(OsConfig::McKernelHfi, shape);
-    cfg.batch_fabric = FabricMode::Incast;
-    cfg.engine = EngineMode::Sharded;
-    cfg.record_per_rank = true;
-    cfg.shards = Some(4);
-    let run = |threads: usize, dense: bool| {
-        let mut c = cfg.clone();
-        c.threads = Some(threads);
-        c.dense_shard_state = dense;
-        engine_digest(&World::new(c, App::Umt2013, 2).run())
-    };
-    let reference = run(1, false);
-    for threads in [1usize, 2, 4, 8] {
-        assert_eq!(run(threads, false), reference, "sparse, {threads} threads");
-        assert_eq!(run(threads, true), reference, "dense, {threads} threads");
-    }
-}
-
-/// A shard never allocates gate state for a remote node it exchanged no
-/// traffic with — and in the sharded engine's inject/commit split, not
-/// even for the remote nodes it *did* exchange traffic with (the source
-/// half runs on the source's shard, the commit half on the
-/// destination's, so every gate access is to a shard-owned node). The
-/// all-to-all UMT halo exchange is the adversarial workload: every node
-/// talks to every other, yet the per-shard gate population stays at
-/// exactly the shard's own nodes.
-#[test]
-fn shards_allocate_no_remote_gate_state() {
+fn shards_touch_only_their_own_gates() {
     use pico_apps::{App, JobShape};
     use pico_cluster::{ClusterConfig, EngineMode, FabricMode, OsConfig, World};
 
@@ -1307,19 +1196,14 @@ fn shards_allocate_no_remote_gate_state() {
     cfg.batch_fabric = FabricMode::Incast;
     cfg.engine = EngineMode::Sharded;
     cfg.shards = Some(4);
-    let res = World::new(cfg.clone(), App::Umt2013, 2).run();
+    // One worker runs all four shards, so a gate panic unwinds straight
+    // into this test; with more workers the others would keep waiting
+    // at the window barrier for the panicked one.
+    cfg.threads = Some(1);
+    let res = World::new(cfg, App::Umt2013, 2).run();
     assert_eq!(res.shards, 4);
+    assert_eq!(res.ranks_done, 8);
     assert!(res.fabric_bytes > 0, "halo exchange must move traffic");
-    assert_eq!(
-        res.shard_gate_nodes, 4,
-        "a shard materialized gate state for a node it does not own"
-    );
-
-    // The single-queue engine spans every node in its one world.
-    cfg.engine = EngineMode::SingleQueue;
-    cfg.shards = None;
-    let single = World::new(cfg, App::Umt2013, 2).run();
-    assert_eq!(single.shard_gate_nodes, 4);
 }
 
 /// The auto shard heuristic never reads the run's worker count, so two
