@@ -3,8 +3,8 @@
 # the workspace has no external dependencies.
 #
 #   ./ci.sh          tier-1 (release build + full test suite) + picobench's
-#                    correctness test + clippy + fmt check + the reduced
-#                    simbench smoke gate
+#                    correctness test + clippy + fmt check + rustdoc with
+#                    warnings denied + the reduced simbench smoke gate
 #   ./ci.sh --bench  additionally run the full simbench regression gate
 #                    (--full: adds the 256-node sharded-engine speedup gate,
 #                    the 1024/4096/16384/65536-node weak-scaling sweep with
@@ -35,6 +35,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt check =="
 cargo fmt --all --check
+
+echo "== rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== simbench smoke gate (queue speedup, flow/sink coalescing, incast oracle, clamped events) =="
 cargo run --release -p pico-bench --bin simbench -- --smoke

@@ -478,7 +478,11 @@ fn parallel_gate(nodes: u32, iters: u32, enforce: bool) -> Json {
 /// reach, and records the per-run peak heap (`peak_alloc_bytes`, via
 /// the counting allocator installed above), accounted resident stat
 /// bytes (`stat_bytes`) and resident shard state
-/// (`shard_state_bytes`) that benchdiff trends night over night.
+/// (`shard_state_bytes`) that benchdiff trends night over night. Each
+/// row also reports the host cost per dispatch, `ns_per_dispatch` =
+/// wall time / (`sim_events` + `soft_deliveries`): flat across the
+/// sweep means no per-event cost grows with the cluster. It is not
+/// trended (wall time is host-dependent).
 fn weak_scaling_sweep() -> Vec<Json> {
     let mut rows = Vec::new();
     for nodes in [1024u32, 4096, 16384, 65536] {
@@ -495,12 +499,15 @@ fn weak_scaling_sweep() -> Vec<Json> {
         assert_eq!(res.ranks_done, nodes, "weak-scaling sweep: ranks finished");
         assert_eq!(res.clamped_events, 0, "weak-scaling sweep: clamped events");
         assert_eq!(res.payload_errors, 0, "weak-scaling sweep: payload errors");
+        let ns_per_dispatch = secs * 1e9 / (res.sim_events + res.soft_deliveries).max(1) as f64;
         println!(
-            "weak-scaling sweep ({nodes} nodes, {} shards, {} threads): {} events in {secs:.2}s, \
-             peak heap {:.1} MiB, stat bytes {}, shard state bytes {}",
+            "weak-scaling sweep ({nodes} nodes, {} shards, {} threads): {} events + {} soft \
+             deliveries in {secs:.2}s ({ns_per_dispatch:.0} ns/dispatch), peak heap {:.1} MiB, \
+             stat bytes {}, shard state bytes {}",
             res.shards,
             res.threads,
             res.sim_events,
+            res.soft_deliveries,
             res.peak_alloc_bytes as f64 / (1 << 20) as f64,
             res.stat_bytes,
             res.shard_state_bytes,
@@ -510,8 +517,10 @@ fn weak_scaling_sweep() -> Vec<Json> {
             ("shards", Json::UInt(res.shards as u64)),
             ("threads", Json::UInt(res.threads as u64)),
             ("sim_events", Json::UInt(res.sim_events)),
+            ("soft_deliveries", Json::UInt(res.soft_deliveries)),
             ("ranks_done", Json::UInt(res.ranks_done as u64)),
             ("wall_secs", Json::Num(secs)),
+            ("ns_per_dispatch", Json::Num(ns_per_dispatch)),
             ("peak_alloc_bytes", Json::UInt(res.peak_alloc_bytes)),
             ("stat_bytes", Json::UInt(res.stat_bytes)),
             ("shard_state_bytes", Json::UInt(res.shard_state_bytes)),

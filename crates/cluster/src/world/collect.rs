@@ -1,4 +1,4 @@
-use super::{SinkSlot, World};
+use super::{PendingTimes, SinkSlot, World};
 use pico_ihk::Sysno;
 use pico_mpi::MpiCall;
 use pico_sim::{FinishSketch, Ns, Sketch, TimeByKey, WheelProfile};
@@ -220,8 +220,7 @@ pub(super) fn collect_many(
         // plus the `node_pending`/sink-root vectors, all sized to the
         // shard's own node range.
         shard_state_bytes += (w.fabric.resident_gate_bytes()
-            + w.node_pending.capacity()
-                * std::mem::size_of::<std::collections::BTreeMap<Ns, u32>>()
+            + w.node_pending.capacity() * std::mem::size_of::<PendingTimes>()
             + w.sinks.capacity() * std::mem::size_of::<SinkSlot>())
             as u64;
         for n in &w.nodes {

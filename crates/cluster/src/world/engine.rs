@@ -1,6 +1,6 @@
 use super::{
-    collect::collect_many, shrink_scratch, EdgeMsg, Ev, LinkIndex, Node, RankState, RunResult,
-    SinkSlot, SoftItem, SoftKind, TrainSource, World,
+    collect::collect_many, shrink_scratch, EdgeMsg, Ev, LinkIndex, Node, PendingTimes, RankState,
+    RunResult, SinkSlot, SoftItem, SoftKind, SoftSchedule, TrainSource, World,
 };
 use pico_fabric::Fabric;
 use pico_mpi::StepResult;
@@ -66,9 +66,8 @@ impl World {
         }
         let node = self.ranks[(dst) - self.rank_base].node;
         if self.node_pending[node - self.node_base]
-            .range(..=arrival)
-            .next()
-            .is_some()
+            .first()
+            .is_some_and(|t| t <= arrival)
         {
             return false;
         }
@@ -83,7 +82,7 @@ impl World {
     pub(super) fn schedule_ev(&mut self, at: Ns, ev: Ev) {
         if self.hot.batch {
             if let Some(n) = self.ev_node(&ev) {
-                *self.node_pending[n - self.node_base].entry(at).or_insert(0) += 1;
+                self.node_pending[n - self.node_base].insert(at);
             }
         }
         self.queue.schedule(at, ev);
@@ -94,19 +93,14 @@ impl World {
     /// [`push_soft`](Self::push_soft), applied when the event or soft
     /// item is dispatched).
     pub(super) fn node_pending_remove(&mut self, n: usize, t: Ns) {
-        let n = n - self.node_base;
-        match self.node_pending[n].get_mut(&t) {
-            Some(c) if *c > 1 => *c -= 1,
-            _ => {
-                self.node_pending[n].remove(&t);
-            }
-        }
+        self.node_pending[n - self.node_base].remove(t);
     }
 
     /// Put a deferred delivery on the soft schedule, stamped with a seq
     /// from the queue's counter (so it merges into the exact pop order
     /// of a queued event) and accounted in `node_pending` like one.
-    pub(super) fn push_soft(&mut self, at: Ns, kind: SoftKind) {
+    /// Returns the seq.
+    pub(super) fn push_soft(&mut self, at: Ns, kind: SoftKind) -> u64 {
         let node = match &kind {
             SoftKind::Flow(i) => Some(self.flows[*i].dst),
             // Sinks are indexed by destination node.
@@ -114,17 +108,26 @@ impl World {
             SoftKind::Ev(ev) => self.ev_node(ev),
         };
         if let Some(n) = node {
-            *self.node_pending[n - self.node_base].entry(at).or_insert(0) += 1;
+            self.node_pending[n - self.node_base].insert(at);
         }
         let seq = self.queue.alloc_seq();
-        let item = SoftItem { at, seq, kind };
-        let pos = self.soft.partition_point(|s| (s.at, s.seq) > (at, seq));
-        self.soft.insert(pos, item);
+        self.soft.push(SoftItem { at, seq, kind });
+        seq
     }
 
     /// Emit a flush product as a zero-event soft item.
     pub(super) fn emit_ev(&mut self, at: Ns, ev: Ev) {
         self.push_soft(at, SoftKind::Ev(ev));
+    }
+
+    /// Put node `idx`'s sink on the soft schedule at its head arrival
+    /// `at`. A previous entry of the sink, if any, is cancelled: its seq
+    /// no longer matches `entry_seq`.
+    pub(super) fn defer_sink(&mut self, idx: usize, at: Ns) {
+        let seq = self.push_soft(at, SoftKind::Sink(idx));
+        let sink = &mut self.sinks[idx - self.node_base];
+        sink.pending = true;
+        sink.entry_seq = seq;
     }
 
     /// Run; optionally print stuck-rank diagnostics at exhaustion.
@@ -146,9 +149,10 @@ impl World {
 
     /// Earliest pending dispatch time across the queue and the soft
     /// schedule, as a raw key (`u64::MAX` when this world is idle).
-    fn next_key_time(&self) -> u64 {
-        let soft = self.soft.last().map(|s| s.at.0).unwrap_or(u64::MAX);
-        let ev = self.queue.peek_time().map(|t| t.0).unwrap_or(u64::MAX);
+    fn next_key_time(&mut self) -> u64 {
+        let soft = self.soft.peek(&self.sinks, self.node_base);
+        let soft = soft.map_or(u64::MAX, |(at, _)| at.0);
+        let ev = self.queue.peek_time().map_or(u64::MAX, |t| t.0);
         soft.min(ev)
     }
 
@@ -162,19 +166,14 @@ impl World {
             // both sides draw seqs from one counter, so this pop order is
             // bit-identical to queueing everything — the soft side just
             // doesn't pay queue events.
-            let take_soft = match (
-                self.soft.last().map(|s| (s.at, s.seq)),
+            let (t, take_soft) = match (
+                self.soft.peek(&self.sinks, self.node_base),
                 self.queue.peek_key(),
             ) {
-                (Some(s), Some(q)) => s < q,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+                (Some(s), Some(q)) if s < q => (s.0, true),
+                (_, Some(q)) => (q.0, false),
+                (Some(s), None) => (s.0, true),
                 (None, None) => return,
-            };
-            let t = if take_soft {
-                self.soft.last().expect("non-empty soft schedule").at
-            } else {
-                self.queue.peek_time().expect("non-empty queue")
             };
             if t >= horizon {
                 return;
@@ -186,7 +185,7 @@ impl World {
                 self.dispatches
             );
             if take_soft {
-                let item = self.soft.pop().expect("non-empty soft schedule");
+                let item = self.soft.pop();
                 self.soft_deliveries += 1;
                 self.sim_now = item.at;
                 self.dispatch_soft(item);
@@ -247,9 +246,9 @@ impl World {
             .threads
             .unwrap_or_else(pico_sim::default_threads)
             .clamp(1, want);
-        let (shards, node_shard) = self.split_shards(want);
+        let (mut shards, node_shard) = self.split_shards(want);
         let sync = WindowSync::new(threads, want);
-        for (s, sh) in shards.iter().enumerate() {
+        for (s, sh) in shards.iter_mut().enumerate() {
             sync.set_next_key(s, sh.next_key_time());
         }
         sync.coordinate(lookahead);
@@ -264,6 +263,9 @@ impl World {
             let (sync, inboxes, slots, node_shard) = (&sync, &inboxes, &slots, &node_shard);
             for w in 0..threads {
                 scope.spawn(move || {
+                    // A worker that panics poisons the window barrier, so
+                    // the others panic too and the scope propagates it.
+                    let _poison = sync.poison_on_unwind();
                     // Worker `w` owns shards w, w+threads, … for the
                     // whole run; ownership never moves, so the slot and
                     // inbox locks are never contended within a phase.
@@ -359,16 +361,13 @@ impl World {
                 *s = i as u32;
             }
             let mut queue = EventQueue::with_coarse_bits(self.cfg.wheel_coarse_bits);
-            let mut node_pending: Vec<std::collections::BTreeMap<Ns, u32>> =
-                vec![std::collections::BTreeMap::new(); count];
+            let mut node_pending = vec![PendingTimes::default(); count];
             let shard_ranks = count * rpn;
             let mut pending_wake = vec![Ns::MAX; shard_ranks];
             for (j, rank) in ranks.iter().enumerate() {
                 let g = rank_base + j;
                 queue.schedule(rank.clock, Ev::Wake(g));
-                *node_pending[rank.node - node_base]
-                    .entry(rank.clock)
-                    .or_insert(0) += 1;
+                node_pending[rank.node - node_base].insert(rank.clock);
                 pending_wake[j] = rank.clock;
             }
             shards.push(World {
@@ -396,7 +395,7 @@ impl World {
                 train_park_clock: vec![Ns::ZERO; shard_ranks],
                 engaged_scratch: Vec::new(),
                 node_pending,
-                soft: Vec::new(),
+                soft: SoftSchedule::default(),
                 flows: Vec::new(),
                 sinks: (0..count).map(|_| SinkSlot::default()).collect(),
                 link_index: LinkIndex::new(),
@@ -456,6 +455,9 @@ impl World {
                 self.node_pending_remove(i, item.at);
                 let si = i - self.node_base;
                 let members = std::mem::take(&mut self.sinks[si].members);
+                // The live entry sits at the head's arrival; `sink_settle`
+                // reads its key from the front member.
+                debug_assert_eq!(members.front().map(|p| p.arrival), Some(item.at));
                 self.sinks[si].pending = false;
                 self.sinks[si].last_activity = item.at;
                 self.on_packet_train(members, TrainSource::Sink(i));

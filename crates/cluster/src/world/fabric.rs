@@ -4,6 +4,7 @@ use super::{
 };
 use pico_fabric::TrainMember;
 use pico_sim::Ns;
+use std::collections::VecDeque;
 
 impl World {
     /// Add a packet to the train accumulator bucket of its link, located
@@ -224,7 +225,12 @@ impl World {
             // delivery in time order (stable, so ties keep link order).
             packets.sort_by_key(|p| p.arrival);
             let first = packets[0].arrival;
-            self.emit_ev(first, Ev::PacketTrain { members: packets });
+            self.emit_ev(
+                first,
+                Ev::PacketTrain {
+                    members: VecDeque::from(packets),
+                },
+            );
         }
         fm.clear();
         self.fabric_member_scratch = fm;
@@ -242,7 +248,7 @@ impl World {
             src,
             dst,
             open: false,
-            members: Vec::new(),
+            members: VecDeque::new(),
             pending: false,
             len: 0,
             last_activity: Ns::ZERO,
@@ -319,11 +325,11 @@ impl World {
             debug_assert!(
                 self.flows[idx]
                     .members
-                    .last()
+                    .back()
                     .is_none_or(|p| p.arrival <= s.arrival),
                 "flow arrivals must stay monotone across appends"
             );
-            self.flows[idx].members.push(TrainPacket {
+            self.flows[idx].members.push_back(TrainPacket {
                 arrival: s.arrival,
                 seq: m.seq,
                 dst: m.dst,
@@ -430,7 +436,7 @@ impl World {
         let n = members.len();
         let si = dst_node - self.node_base;
         for (m, s) in members.drain(..).zip(scheds.iter()) {
-            self.sinks[si].members.push(TrainPacket {
+            self.sinks[si].members.push_back(TrainPacket {
                 arrival: s.arrival,
                 seq: m.seq,
                 dst: m.dst,
@@ -478,15 +484,19 @@ impl World {
     fn sink_settle(&mut self, idx: usize, n: usize, now: Ns) {
         let si = idx - self.node_base;
         let sink = &mut self.sinks[si];
+        let old = sink.members.len() - n;
+        debug_assert!(!sink.pending || old > 0, "a pending sink has members");
+        // While `pending`, the front member before the merge is where the
+        // sink's soft entry is keyed.
+        let entry_at = sink.members[0].arrival;
         // One burst is single-source, so its arrivals are monotone; only
         // the boundary against members already pending (other sources,
         // or an earlier bucket of this flush with interleaved emission
         // seqs) can put the new head out of order. `seq` is globally
         // unique, so the key is total — unstable sort is deterministic.
         let key = |p: &TrainPacket| (p.arrival, p.seq);
-        let old = sink.members.len() - n;
         if old > 0 && key(&sink.members[old]) < key(&sink.members[old - 1]) {
-            sink.members.sort_unstable_by_key(key);
+            sink.members.make_contiguous().sort_unstable_by_key(key);
         }
         sink.len += n as u64;
         sink.last_activity = now;
@@ -494,23 +504,14 @@ impl World {
         self.sink_members_total += n as u64;
         self.max_sink_len = self.max_sink_len.max(len);
         if !self.sinks[si].pending {
-            self.sinks[si].pending = true;
-            self.sinks[si].entry_at = head;
-            self.push_soft(head, SoftKind::Sink(idx));
-        } else if head < self.sinks[si].entry_at {
+            self.defer_sink(idx, head);
+        } else if head < entry_at {
             // The merge put an earlier member at the head: re-key the
             // sink's soft entry (and its `node_pending` mark) to the new
-            // first arrival, or the delivery would fire late.
-            let old = self.sinks[si].entry_at;
-            let pos = self
-                .soft
-                .iter()
-                .position(|s| matches!(s.kind, SoftKind::Sink(j) if j == idx))
-                .expect("pending sink has a soft entry");
-            self.soft.remove(pos);
-            self.node_pending_remove(idx, old);
-            self.sinks[si].entry_at = head;
-            self.push_soft(head, SoftKind::Sink(idx));
+            // first arrival, or the delivery would fire late. The old
+            // entry stays in the heap, cancelled.
+            self.node_pending_remove(idx, entry_at);
+            self.defer_sink(idx, head);
         }
         if !self.sinks[si].reaper_armed {
             self.sinks[si].reaper_armed = true;
@@ -612,7 +613,7 @@ impl World {
             self.digest_arrival(s.arrival, m.dst, m.src, m.inj.bytes);
             let seq = self.commit_seq;
             self.commit_seq += 1;
-            self.sinks[si].members.push(TrainPacket {
+            self.sinks[si].members.push_back(TrainPacket {
                 arrival: s.arrival,
                 seq,
                 dst: m.dst,
@@ -664,14 +665,17 @@ impl World {
     ///   be delivered early or out of order: the remainder of the train
     ///   is handed back — to the queue / soft schedule for an event
     ///   train, or into the flow slot (lazy resplit) for a flow.
-    pub(super) fn on_packet_train(&mut self, members: Vec<TrainPacket>, source: TrainSource) {
+    pub(super) fn on_packet_train(
+        &mut self,
+        mut members: VecDeque<TrainPacket>,
+        source: TrainSource,
+    ) {
         self.train_epoch += 1;
         let epoch = self.train_epoch;
         let t = members[0].arrival;
         let mut engaged = std::mem::take(&mut self.engaged_scratch);
         engaged.clear();
-        let mut it = members.into_iter();
-        while let Some(m) = it.next() {
+        while let Some(m) = members.pop_front() {
             let dst = m.dst;
             if self.ranks[(dst) - self.rank_base].done {
                 continue;
@@ -745,9 +749,10 @@ impl World {
             // requeue plus a fresh dispatch), while a flow's or sink's
             // suffix stays in its slot and merely re-defers the soft
             // entry (a lazy pause, zero queue events, accumulator
-            // preserved).
-            let rest: Vec<TrainPacket> = std::iter::once(m).chain(it).collect();
-            let at = rest[0].arrival;
+            // preserved). Either way the conflicting member goes back on
+            // the front of the same deque, which is handed back whole.
+            members.push_front(m);
+            let at = members[0].arrival;
             match source {
                 TrainSource::Flow(i) => {
                     // Lazy resplit: only the suffix after the conflict is
@@ -755,7 +760,7 @@ impl World {
                     // flow's pending members and re-defers as its soft
                     // entry; later appends extend it in place.
                     debug_assert!(self.flows[i].members.is_empty());
-                    self.flows[i].members = rest;
+                    self.flows[i].members = members;
                     self.flows[i].pending = true;
                     self.push_soft(at, SoftKind::Flow(i));
                 }
@@ -766,14 +771,12 @@ impl World {
                     self.sink_pauses += 1;
                     let si = i - self.node_base;
                     debug_assert!(self.sinks[si].members.is_empty());
-                    self.sinks[si].entry_at = at;
-                    self.sinks[si].members = rest;
-                    self.sinks[si].pending = true;
-                    self.push_soft(at, SoftKind::Sink(i));
+                    self.sinks[si].members = members;
+                    self.defer_sink(i, at);
                 }
-                TrainSource::Event if rest.len() == 1 => {
+                TrainSource::Event if members.len() == 1 => {
                     self.resplits += 1;
-                    let p = rest.into_iter().next().expect("one member");
+                    let p = members.pop_front().expect("one member");
                     self.emit_ev(
                         at,
                         Ev::Packet {
@@ -785,7 +788,7 @@ impl World {
                 }
                 TrainSource::Event => {
                     self.resplits += 1;
-                    self.emit_ev(at, Ev::PacketTrain { members: rest });
+                    self.emit_ev(at, Ev::PacketTrain { members });
                 }
             }
             break;

@@ -19,6 +19,7 @@ mod collect;
 mod engine;
 mod fabric;
 mod kernel;
+mod sched;
 
 use crate::config::{ClusterConfig, OsConfig};
 pub use collect::RunResult;
@@ -37,6 +38,8 @@ use pico_mpi::{BufTable, MpiRank};
 use pico_psm::{Endpoint, PsmAction, PsmPacket};
 use pico_sim::{EventQueue, FastMap, Ns, Rng, Sketch, TimeByKey};
 use picodriver::{CallbackKind, CallbackRef, CallbackTable, HfiFastPath, UnifiedKernelSpace};
+use sched::{PendingTimes, SoftSchedule};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 const MMAP_BASE: VirtAddr = VirtAddr(0x7000_0000_0000);
@@ -61,7 +64,7 @@ enum Ev {
     /// A burst of packets that rode one fabric reservation: delivered
     /// member by member at their analytic arrivals (the event fires at
     /// the first one; members are in arrival order).
-    PacketTrain { members: Vec<TrainPacket> },
+    PacketTrain { members: VecDeque<TrainPacket> },
     /// Sender-side SDMA completions batched from one action flush; the
     /// event fires at the last member's IRQ finish (the only completion
     /// an in-order pipelined sender can act on).
@@ -173,7 +176,7 @@ struct FlowSlot {
     /// Whether a flow is currently open on this link (stats identity).
     open: bool,
     /// Committed-but-undelivered members, in arrival order.
-    members: Vec<TrainPacket>,
+    members: VecDeque<TrainPacket>,
     /// Whether a `SoftKind::Flow` entry for `members` is on the soft
     /// schedule (and has a matching `node_pending` entry).
     pending: bool,
@@ -203,13 +206,16 @@ struct SinkSlot {
     /// cross-source arrivals are *not* monotone in commit order (a
     /// slow-uplink member's arrival can be latency-dominated past a
     /// later member's downlink-dominated one), so appends merge.
-    members: Vec<TrainPacket>,
+    members: VecDeque<TrainPacket>,
     /// Whether a `SoftKind::Sink` entry for `members` is on the soft
-    /// schedule (with a matching `node_pending` entry).
+    /// schedule (with a matching `node_pending` entry). The entry is
+    /// keyed at the head's arrival, so while `pending` the front member
+    /// tells where it sits.
     pending: bool,
-    /// Soft-entry key time while `pending` — needed to re-key the entry
-    /// when a merge introduces an earlier first arrival.
-    entry_at: Ns,
+    /// Seq of the sink's live soft entry. A merge that brings in an
+    /// earlier head pushes a fresh entry; the one it replaces no longer
+    /// matches and the soft schedule drops it unrun.
+    entry_seq: u64,
     /// Members accumulated by the open sink so far (the `extend_sink`
     /// continuation length across all sources; resets on close).
     len: u64,
@@ -443,10 +449,9 @@ pub struct World {
     /// gates and inboxes are disjoint from the continuation's — but must
     /// yield to anything pending on the destination node itself. Soft
     /// schedule items are accounted here exactly like queued events.
-    node_pending: Vec<std::collections::BTreeMap<Ns, u32>>,
-    /// Soft schedule, sorted *descending* by `(at, seq)` so the
-    /// next item pops O(1) off the tail (same trick as the wheel's `cur`).
-    soft: Vec<SoftItem>,
+    node_pending: Vec<PendingTimes>,
+    /// Soft schedule: a min-heap on `(at, seq)`.
+    soft: SoftSchedule,
     /// Persistent per-link flow slots, scanned linearly (a run touches a
     /// handful of directed links).
     flows: Vec<FlowSlot>,
@@ -660,14 +665,13 @@ impl World {
         let mut queue = EventQueue::with_coarse_bits(cfg.wheel_coarse_bits);
         let mut skew_rng = root_rng.substream(7);
         let mut pending_wake = Vec::with_capacity(ranks.len());
-        let mut node_pending: Vec<std::collections::BTreeMap<Ns, u32>> =
-            vec![std::collections::BTreeMap::new(); nodes.len()];
+        let mut node_pending = vec![PendingTimes::default(); nodes.len()];
         for (r, rank) in ranks.iter_mut().enumerate() {
             let skew = Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1)));
             rank.clock = skew;
             queue.schedule(skew, Ev::Wake(r));
             if cfg.batch_fabric.batches() {
-                *node_pending[rank.node].entry(skew).or_insert(0) += 1;
+                node_pending[rank.node].insert(skew);
             }
             pending_wake.push(skew);
         }
@@ -707,7 +711,7 @@ impl World {
             train_park_clock: vec![Ns::ZERO; nranks],
             engaged_scratch: Vec::new(),
             node_pending,
-            soft: Vec::new(),
+            soft: SoftSchedule::default(),
             flows: Vec::new(),
             sinks: (0..nnodes).map(|_| SinkSlot::default()).collect(),
             link_index: LinkIndex::new(),

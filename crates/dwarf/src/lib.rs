@@ -7,7 +7,7 @@
 //!
 //! * [`die`] — an arena-backed DIE tree with real DWARF tag/attribute
 //!   numbers and builders for the type shapes drivers use;
-//! * [`encode`] — binary `.debug_abbrev` / `.debug_info` sections
+//! * [`encode`](mod@encode) — binary `.debug_abbrev` / `.debug_info` sections
 //!   (DWARF 4, 32-bit format) with an abbreviation table, plus a decoder;
 //! * [`extract`] — the `dwarf-extract-struct` tool: walks the encoded
 //!   sections, finds `DW_TAG_structure_type` / `DW_TAG_member` entries,

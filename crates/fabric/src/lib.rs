@@ -386,14 +386,15 @@ impl Fabric {
     /// walk already-injected members (their uplink times shipped in a
     /// [`SinkInjection`]) through `dst`'s downlink, committing the gate
     /// once, and append the completed [`TransferSchedule`]s to `out`.
-    /// Because [`link_schedule`](Self::link_schedule) only reads the
-    /// uplink cursor through `up_start`/`up_finish`, running the two
-    /// halves on separate gate sets reproduces its schedules bit for
-    /// bit: `sink_inject` + `sink_commit` equals `extend_sink`.
+    /// Because the per-packet link math only reads the uplink cursor
+    /// through `up_start`/`up_finish`, running the two halves on separate
+    /// gate sets reproduces its schedules bit for bit: `sink_inject` +
+    /// `sink_commit` equals `extend_sink`.
     ///
     /// `prior_len` is the cumulative member count of the logical sink,
     /// with the same ≥2-member retroactive train-accounting rule as
-    /// [`extend_accounted`](Self::extend_accounted).
+    /// [`extend_train`](Self::extend_train) and
+    /// [`extend_sink`](Self::extend_sink).
     pub fn sink_commit(
         &mut self,
         dst: usize,

@@ -95,10 +95,16 @@ where
 /// burst of pure spinning each loop yields to the scheduler: on a loaded
 /// or single-core machine the barrier degrades to yield-stepping instead
 /// of burning whole timeslices.
+///
+/// A participant that panics never arrives, so the barrier can be
+/// poisoned: every participant waiting on it, then or later, panics
+/// instead of spinning forever, and a scoped-thread run fails rather
+/// than hangs.
 pub struct SpinBarrier {
     n: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -109,10 +115,16 @@ impl SpinBarrier {
             n,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
     /// Block (spinning) until all `n` participants have called `wait`.
+    ///
+    /// # Panics
+    ///
+    /// If the barrier is poisoned while this call waits (see
+    /// [`WindowSync::poison_on_unwind`]).
     pub fn wait(&self) {
         let generation = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
@@ -121,6 +133,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == generation {
+                if self.poisoned.load(Ordering::Relaxed) {
+                    panic!("spin barrier poisoned: another participant panicked");
+                }
                 spins += 1;
                 if spins >= 256 {
                     std::thread::yield_now();
@@ -128,6 +143,25 @@ impl SpinBarrier {
                     std::hint::spin_loop();
                 }
             }
+        }
+    }
+
+    /// Make every current and future waiter panic.
+    fn poison(&self) {
+        // Relaxed: the flag publishes no other data; a waiter that sees
+        // it only panics.
+        self.poisoned.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Poisons a [`SpinBarrier`] when dropped during a panic; see
+/// [`WindowSync::poison_on_unwind`].
+pub struct PoisonOnUnwind<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
         }
     }
 }
@@ -146,6 +180,10 @@ impl SpinBarrier {
 ///    and publish their shards' next keys via `set_next_key`;
 /// 3. `finish` — all next keys are visible; the coordinator runs
 ///    `coordinate` to publish the next horizon before its own `begin`.
+///
+/// Each worker holds a [`poison_on_unwind`](Self::poison_on_unwind)
+/// guard for its whole round loop, so one worker's panic makes the
+/// others panic at their next crossing instead of waiting for it.
 pub struct WindowSync {
     barrier: SpinBarrier,
     next_keys: Vec<AtomicU64>,
@@ -210,6 +248,12 @@ impl WindowSync {
     /// Crossing 3: next keys of the current round are now visible.
     pub fn finish(&self) {
         self.barrier.wait();
+    }
+
+    /// A guard that poisons the barrier if the calling worker unwinds
+    /// while holding it.
+    pub fn poison_on_unwind(&self) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind(&self.barrier)
     }
 }
 
@@ -316,6 +360,42 @@ mod tests {
         for k in &keys {
             assert!(k.lock().unwrap().is_empty());
         }
+    }
+
+    /// One of two workers panics between `begin` and `mid`: the other
+    /// panics at `mid` instead of spinning, so the scope ends in a panic.
+    #[test]
+    fn a_panicking_worker_poisons_the_window() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sync = WindowSync::new(2, 2);
+            sync.set_next_key(0, 0);
+            sync.set_next_key(1, 0);
+            sync.coordinate(10);
+            let scope = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                std::thread::scope(|s| {
+                    for worker in 0..2 {
+                        let sync = &sync;
+                        s.spawn(move || {
+                            let _poison = sync.poison_on_unwind();
+                            while sync.begin().is_some() {
+                                if worker == 1 {
+                                    panic!("worker 1 fails mid-window");
+                                }
+                                sync.mid();
+                                sync.finish();
+                                sync.coordinate(10);
+                            }
+                        });
+                    }
+                });
+            }));
+            let _ = tx.send(scope.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the surviving worker hung at the window barrier");
+        assert!(panicked, "the scope must end in a panic");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! what capped the figure sweeps at 256 nodes. This module replaces it
 //! with a fixed-size log-bucket sketch:
 //!
-//! * **Constant memory** — a flat array of [`BUCKETS`] saturating `u32`
+//! * **Constant memory** — a flat array of 1024 saturating `u32`
 //!   counters (~4 KiB) plus exact `u64` min/max/sum/count, independent
 //!   of how many samples are recorded.
 //! * **Deterministic** — recording is a pure function of the value

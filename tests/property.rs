@@ -1196,10 +1196,9 @@ fn shards_touch_only_their_own_gates() {
     cfg.batch_fabric = FabricMode::Incast;
     cfg.engine = EngineMode::Sharded;
     cfg.shards = Some(4);
-    // One worker runs all four shards, so a gate panic unwinds straight
-    // into this test; with more workers the others would keep waiting
-    // at the window barrier for the panicked one.
-    cfg.threads = Some(1);
+    // Two workers: a gate panic on either poisons the window barrier, so
+    // the other panics too and the failure reaches this test.
+    cfg.threads = Some(2);
     let res = World::new(cfg, App::Umt2013, 2).run();
     assert_eq!(res.shards, 4);
     assert_eq!(res.ranks_done, 8);
