@@ -212,7 +212,7 @@ fn train_gate(reps: u32) -> Vec<Json> {
                 Json::UInt(rsink.fabric_train_members),
             ),
             ("fabric_max_train", Json::UInt(rsink.fabric_max_train)),
-            ("fabric_flows", Json::UInt(rflow.fabric_flows)),
+            ("fabric_flows", Json::UInt(rflow.fabric_sinks)),
             ("fabric_sinks", Json::UInt(rsink.fabric_sinks)),
             ("soft_deliveries_flows", Json::UInt(rflow.soft_deliveries)),
             ("soft_deliveries_incast", Json::UInt(rsink.soft_deliveries)),
@@ -237,8 +237,8 @@ fn train_gate(reps: u32) -> Vec<Json> {
 ///    with senders × roots while sinks stay one per root, so the data
 ///    plane dominates the floor: must show ≥5× fewer queue events with
 ///    bit-identical data-plane arrivals.
-/// 3. `alltoall` — one real alltoall(v) round at 8 nodes: the flow
-///    count must collapse from O(N²) per-link flows to ≤N
+/// 3. `alltoall` — one real alltoall(v) round at 8 nodes: the sink
+///    count must collapse from O(N²) per-link sinks (`Flows`) to ≤N
 ///    per-destination sinks.
 ///
 /// "Bit-identical" is asserted on [`arrival_digest_bulk`], the
@@ -310,7 +310,7 @@ fn incast_gate() -> Vec<Json> {
              {} flows -> {} sinks, {} members, max {}, {} pauses, bulk digest {}",
             rf.sim_events,
             ri.sim_events,
-            rf.fabric_flows,
+            rf.fabric_sinks,
             ri.fabric_sinks,
             ri.fabric_sink_members,
             ri.fabric_max_sink,
@@ -335,10 +335,10 @@ fn incast_gate() -> Vec<Json> {
         }
         if pattern == "alltoall" {
             let nn = nodes as u64;
-            if rf.fabric_flows < nn * (nn - 1) {
+            if rf.fabric_sinks < nn * (nn - 1) {
                 eprintln!(
                     "REGRESSION: alltoall flow reference opened {} flows, expected O(N^2) >= {}",
-                    rf.fabric_flows,
+                    rf.fabric_sinks,
                     nn * (nn - 1)
                 );
                 std::process::exit(1);
@@ -357,7 +357,7 @@ fn incast_gate() -> Vec<Json> {
             ("events_flows", Json::UInt(rf.sim_events)),
             ("events_incast", Json::UInt(ri.sim_events)),
             ("event_reduction_incast", Json::Num(ratio)),
-            ("fabric_flows", Json::UInt(rf.fabric_flows)),
+            ("fabric_flows", Json::UInt(rf.fabric_sinks)),
             ("fabric_sinks", Json::UInt(ri.fabric_sinks)),
             ("fabric_sink_members", Json::UInt(ri.fabric_sink_members)),
             ("fabric_max_sink", Json::UInt(ri.fabric_max_sink)),

@@ -34,34 +34,39 @@ impl OsConfig {
 }
 
 /// How same-link packet bursts travel through the fabric model. The
-/// per-packet model is the reference; `Flows` is kept as the data-plane
-/// oracle of `Incast` (bit-identical bulk arrivals on the simbench
-/// incast patterns), the way `HeapEventQueue` backs the timing wheel.
+/// per-packet model is the reference. The two coalesced modes run one
+/// sink machinery and differ only in what a sink is keyed by: a
+/// directed link (`Flows`) or a destination node (`Incast`). `Flows` is
+/// kept as the oracle of `Incast`'s cross-source merge (bit-identical
+/// bulk arrivals on the simbench incast patterns), the way
+/// `HeapEventQueue` backs the timing wheel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FabricMode {
     /// One `Ev::Packet` per hop — the per-packet reference model.
     PerPacket,
-    /// Persistent per-link flows: each dispatch's same-link burst is
-    /// coalesced into one fabric reservation that stays open across
-    /// dispatches, successive flushes extend it, and delivery rides the
-    /// zero-event soft schedule; only conflicts (lazy resplit),
-    /// `flow_linger_ns` idleness, or the member cap close a flow.
+    /// Per-link sinks: each dispatch's same-link burst is coalesced into
+    /// one fabric reservation that stays open across dispatches,
+    /// successive flushes extend it (`Fabric::extend_sink`), and
+    /// delivery rides the zero-event soft schedule; a conflict pauses
+    /// the undelivered suffix in place, and only `flow_linger_ns`
+    /// idleness or the member cap close a sink. A sink has one source,
+    /// so its appends arrive in arrival order and never merge.
     Flows,
-    /// Destination-rooted incast flow graph: one sink per destination
-    /// node merges members from *all* source links into a single soft
-    /// schedule over the shared downlink (`Fabric::extend_sink`). An
-    /// N-to-1 incast needs one close reaper and one soft entry instead
-    /// of N per-link flows; pause/resplit, member caps, and lingering
-    /// are per-sink. FIFO-exact against [`FabricMode::Flows`].
+    /// Destination-rooted sinks: one sink per destination node merges
+    /// members from *all* source links into a single soft schedule over
+    /// the shared downlink. An N-to-1 incast needs one close reaper and
+    /// one soft entry instead of N; pauses, member caps, and lingering
+    /// are per node. FIFO-exact against [`FabricMode::Flows`].
     Incast,
 }
 
 impl FabricMode {
-    /// Whether bursts are coalesced at all (flows or sinks).
+    /// Whether bursts are coalesced into sinks at all.
     pub fn batches(self) -> bool {
         self != FabricMode::PerPacket
     }
-    /// Whether flows are merged into destination-rooted sinks.
+    /// Whether sinks are keyed by destination node rather than by
+    /// directed link.
     pub fn incast(self) -> bool {
         self == FabricMode::Incast
     }
@@ -144,20 +149,20 @@ pub struct ClusterConfig {
     /// modes are kept as reference models for equivalence testing the way
     /// `HeapEventQueue` backs the timing wheel.
     pub batch_fabric: FabricMode,
-    /// Close a persistent flow whose link has been idle this long; closed
-    /// flows finalize their statistics and the next burst opens a fresh
-    /// one. Also paces the `Ev::FlowClose` reaper timers (one per active
-    /// link, rescheduled at this cadence). In [`FabricMode::Incast`] the
-    /// same knob lingers and paces per-destination sinks instead.
+    /// Close a sink whose sources have all been idle this long; a closed
+    /// sink finalizes its statistics and the next burst opens a fresh
+    /// one. Also paces the sink reaper timers (`Ev::SinkClose`, one per
+    /// active sink, rescheduled at this cadence): one per directed link
+    /// under [`FabricMode::Flows`], one per destination node under
+    /// [`FabricMode::Incast`].
     pub flow_linger_ns: Ns,
-    /// Hard cap on members accumulated by one flow (or, under
-    /// [`FabricMode::Incast`], one per-destination sink) before it is
-    /// closed and a successor opened — bounds the member vector a single
-    /// delivery dispatch may own.
+    /// Hard cap on members accumulated by one sink (per link or per
+    /// node, as above) before it is closed and a successor opened —
+    /// bounds the member vector a single delivery dispatch may own.
     pub flow_member_cap: usize,
     /// log2 of the fine pages spanned by one coarse-wheel bucket
-    /// (see `EventQueue::with_coarse_bits`); 6 keeps the PR 3 layout
-    /// (64 µs pages, ~67 ms horizon). The 128/256-node noise sweeps
+    /// (see `EventQueue::with_coarse_bits`); the default 6 gives 64 µs
+    /// pages and a ~67 ms horizon. The 128/256-node noise sweeps
     /// profile this via `WheelProfile::span_hist`.
     pub wheel_coarse_bits: u32,
     /// Which event engine executes the run (see [`EngineMode`]).

@@ -34,9 +34,10 @@ pub struct RunResult {
     /// and figure binaries that don't measure memory don't).
     pub peak_alloc_bytes: u64,
     /// Resident bytes of node-indexed engine state at collection,
-    /// summed across shards: fabric gate storage and the
-    /// `node_pending` / sink-root vectors, each sized to its shard's own
-    /// node range — O(total_nodes) for the whole run.
+    /// summed across shards: fabric gate storage, `node_pending` and the
+    /// sink slots, each sized to its shard's own node range (sinks under
+    /// `Incast`; `Flows` keeps one per link it used) — O(total_nodes)
+    /// for the whole run.
     pub shard_state_bytes: u64,
     /// MPI per-call time summed over all ranks.
     pub mpi_profile: TimeByKey<MpiCall>,
@@ -59,16 +60,13 @@ pub struct RunResult {
     pub fabric_max_train: u64,
     /// Intra-node train deliveries that stopped at a member the
     /// dispatch could not consume and *re-committed* the remainder as a
-    /// fresh soft item — a new train losing its accumulator. Flow and
-    /// sink suffixes stay in their slot instead (a lazy pause).
+    /// fresh soft item — a new train losing its accumulator. Sink
+    /// suffixes stay in their slot instead (a lazy pause).
     pub fabric_resplits: u64,
-    /// Persistent flows opened ([`FabricMode::Flows`](crate::FabricMode::Flows)
-    /// only).
-    pub fabric_flows: u64,
-    /// Destination-rooted incast sinks opened
-    /// ([`FabricMode::Incast`](crate::FabricMode::Incast) only): the
-    /// per-node merged flows. An N-to-1 incast opens 1 where
-    /// flow mode opens N.
+    /// Sinks opened: per destination node under
+    /// [`FabricMode::Incast`](crate::FabricMode::Incast), per directed
+    /// link under [`FabricMode::Flows`](crate::FabricMode::Flows). An
+    /// N-to-1 incast opens 1 where `Flows` opens N.
     pub fabric_sinks: u64,
     /// Members merged through those sinks.
     pub fabric_sink_members: u64,
@@ -175,7 +173,7 @@ pub(super) fn collect_many(
     let mut pio = 0;
     let (mut bytes, mut messages, mut trains, mut train_members, mut max_train) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    let (mut resplits, mut flows_opened) = (0u64, 0u64);
+    let mut resplits = 0u64;
     let (mut sinks_opened, mut sink_members, mut max_sink, mut sink_pauses) =
         (0u64, 0u64, 0u64, 0u64);
     let mut soft_deliveries = 0u64;
@@ -217,8 +215,8 @@ pub(super) fn collect_many(
             + w.sent_seen.capacity() * 8
             + w.arrival_sketch.heap_bytes()) as u64;
         // Node-indexed state this shard carried: fabric gate storage
-        // plus the `node_pending`/sink-root vectors, all sized to the
-        // shard's own node range.
+        // plus the `node_pending` and sink vectors, sized to the shard's
+        // own node range.
         shard_state_bytes += (w.fabric.resident_gate_bytes()
             + w.node_pending.capacity() * std::mem::size_of::<PendingTimes>()
             + w.sinks.capacity() * std::mem::size_of::<SinkSlot>())
@@ -235,7 +233,6 @@ pub(super) fn collect_many(
         train_members += w.fabric.train_members();
         max_train = max_train.max(w.fabric.max_train_len());
         resplits += w.resplits;
-        flows_opened += w.flows_opened;
         sinks_opened += w.sinks_opened;
         sink_members += w.sink_members_total;
         // Sinks still open at exhaustion never saw their close.
@@ -271,7 +268,6 @@ pub(super) fn collect_many(
         fabric_train_members: train_members,
         fabric_max_train: max_train,
         fabric_resplits: resplits,
-        fabric_flows: flows_opened,
         fabric_sinks: sinks_opened,
         fabric_sink_members: sink_members,
         fabric_max_sink: max_sink,

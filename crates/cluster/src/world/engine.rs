@@ -1,11 +1,10 @@
 use super::{
-    collect::collect_many, shrink_scratch, EdgeMsg, Ev, LinkIndex, Node, PendingTimes, RankState,
-    RunResult, SinkSlot, SoftItem, SoftKind, SoftSchedule, TrainSource, World,
+    collect::collect_many, shrink_scratch, EdgeMsg, Ev, Node, RankState, RunResult, SoftItem,
+    SoftKind, TrainSource, World,
 };
-use pico_fabric::Fabric;
 use pico_mpi::StepResult;
 use pico_psm::PsmPacket;
-use pico_sim::{transfer_time, EventQueue, Ns, Sketch, WindowSync};
+use pico_sim::{transfer_time, Ns, WindowSync};
 
 impl World {
     /// Schedule a wake for rank `r` at `at`, coalescing duplicates: a
@@ -25,7 +24,7 @@ impl World {
     /// event's dispatch can touch. Every variant runs ranks of exactly
     /// one node; anything it sends to other nodes becomes a *new*
     /// queued event, accounted on its own node when scheduled.
-    /// `None` for pure-bookkeeping events (`FlowClose`), which touch no
+    /// `None` for pure-bookkeeping events (`SinkClose`), which touch no
     /// rank state and commute with everything.
     fn ev_node(&self, ev: &Ev) -> Option<usize> {
         match ev {
@@ -40,7 +39,7 @@ impl World {
                 let r0 = members[0].rank;
                 Some(self.ranks[(r0) - self.rank_base].node)
             }
-            Ev::FlowClose { .. } | Ev::SinkClose { .. } => None,
+            Ev::SinkClose { .. } => None,
         }
     }
 
@@ -102,9 +101,7 @@ impl World {
     /// Returns the seq.
     pub(super) fn push_soft(&mut self, at: Ns, kind: SoftKind) -> u64 {
         let node = match &kind {
-            SoftKind::Flow(i) => Some(self.flows[*i].dst),
-            // Sinks are indexed by destination node.
-            SoftKind::Sink(i) => Some(*i),
+            SoftKind::Sink(i) => Some(self.sinks[*i].dst as usize),
             SoftKind::Ev(ev) => self.ev_node(ev),
         };
         if let Some(n) = node {
@@ -120,37 +117,52 @@ impl World {
         self.push_soft(at, SoftKind::Ev(ev));
     }
 
-    /// Put node `idx`'s sink on the soft schedule at its head arrival
-    /// `at`. A previous entry of the sink, if any, is cancelled: its seq
-    /// no longer matches `entry_seq`.
-    pub(super) fn defer_sink(&mut self, idx: usize, at: Ns) {
-        let seq = self.push_soft(at, SoftKind::Sink(idx));
-        let sink = &mut self.sinks[idx - self.node_base];
+    /// Put sink `slot` on the soft schedule at its head arrival `at`. A
+    /// previous entry of the sink, if any, is cancelled: its seq no
+    /// longer matches `entry_seq`.
+    pub(super) fn defer_sink(&mut self, slot: usize, at: Ns) {
+        let seq = self.push_soft(at, SoftKind::Sink(slot));
+        let sink = &mut self.sinks[slot];
         sink.pending = true;
         sink.entry_seq = seq;
     }
 
-    /// Run; optionally print stuck-rank diagnostics at exhaustion.
+    /// Run; optionally print stuck-rank diagnostics at exhaustion. The
+    /// engine follows from the resolved shard count: one shard is the
+    /// single-queue walk, more run the windowed engine.
     pub fn run_with_debug(mut self, debug: bool) -> RunResult {
-        if self.cfg.engine.sharded() && self.nodes.len() > 1 {
-            return self.run_sharded(debug);
-        }
         let started = std::time::Instant::now();
-        self.pump(Ns::MAX);
+        let nnodes = self.nodes.len();
+        let shards = if self.cfg.engine.sharded() {
+            self.cfg
+                .shards
+                .unwrap_or_else(|| auto_shard_count(nnodes, self.hot.rpn))
+                .clamp(1, nnodes)
+        } else {
+            1
+        };
+        let (worlds, threads) = if shards > 1 {
+            self.run_sharded(shards)
+        } else {
+            self.pump(Ns::MAX);
+            (vec![self], 1)
+        };
         if debug {
-            let d = self.debug_stuck();
-            if !d.is_empty() {
-                eprintln!("--- stuck ranks ---\n{d}");
+            for w in &worlds {
+                let d = w.debug_stuck();
+                if !d.is_empty() {
+                    eprintln!("--- stuck ranks (shard {}) ---\n{d}", w.shard_id);
+                }
             }
         }
         let elapsed = started.elapsed().as_secs_f64();
-        collect_many(vec![self], elapsed, 1, 1)
+        collect_many(worlds, elapsed, threads as u32, shards as u32)
     }
 
     /// Earliest pending dispatch time across the queue and the soft
     /// schedule, as a raw key (`u64::MAX` when this world is idle).
     fn next_key_time(&mut self) -> u64 {
-        let soft = self.soft.peek(&self.sinks, self.node_base);
+        let soft = self.soft.peek(&self.sinks);
         let soft = soft.map_or(u64::MAX, |(at, _)| at.0);
         let ev = self.queue.peek_time().map_or(u64::MAX, |t| t.0);
         soft.min(ev)
@@ -166,10 +178,7 @@ impl World {
             // both sides draw seqs from one counter, so this pop order is
             // bit-identical to queueing everything — the soft side just
             // doesn't pay queue events.
-            let (t, take_soft) = match (
-                self.soft.peek(&self.sinks, self.node_base),
-                self.queue.peek_key(),
-            ) {
+            let (t, take_soft) = match (self.soft.peek(&self.sinks), self.queue.peek_key()) {
                 (Some(s), Some(q)) if s < q => (s.0, true),
                 (_, Some(q)) => (q.0, false),
                 (Some(s), None) => (s.0, true),
@@ -200,8 +209,8 @@ impl World {
                 self.dispatch_ev(t, ev);
             }
             // Coalesce everything the dispatch emitted: one fabric
-            // reservation per link burst, extending the link's open flow
-            // (`Flows`) or the destination's sink (`Incast`).
+            // reservation per link burst, extending the link's sink
+            // (`Flows`) or the destination node's (`Incast`).
             self.flush_trains();
         }
     }
@@ -214,33 +223,14 @@ impl World {
     /// shard through the fabric, and the earliest such influence arrives
     /// at `t + base_latency ≥ window_end` — so every window's execution
     /// is causally closed and the result is bit-identical on any thread
-    /// count (the partition depends only on the shard count).
-    fn run_sharded(self, debug: bool) -> RunResult {
-        let started = std::time::Instant::now();
+    /// count (the partition depends only on the shard count). Returns the
+    /// finished shards, in shard order, and the worker count.
+    fn run_sharded(self, want: usize) -> (Vec<World>, usize) {
         let lookahead = self.cfg.fabric.base_latency.0;
         assert!(
             lookahead > 0,
             "sharded engine needs a positive base link latency for lookahead"
         );
-        let nnodes = self.nodes.len();
-        let want = self
-            .cfg
-            .shards
-            .unwrap_or_else(|| auto_shard_count(nnodes, self.hot.rpn))
-            .clamp(1, nnodes);
-        if want <= 1 {
-            // One shard is just the single-queue walk.
-            let mut w = self;
-            w.pump(Ns::MAX);
-            if debug {
-                let d = w.debug_stuck();
-                if !d.is_empty() {
-                    eprintln!("--- stuck ranks ---\n{d}");
-                }
-            }
-            let elapsed = started.elapsed().as_secs_f64();
-            return collect_many(vec![w], elapsed, 1, 1);
-        }
         let threads = self
             .cfg
             .threads
@@ -303,7 +293,7 @@ impl World {
                 });
             }
         });
-        let shards: Vec<World> = slots
+        let shards = slots
             .into_iter()
             .map(|m| {
                 m.into_inner()
@@ -311,31 +301,20 @@ impl World {
                     .expect("worker returned its shards")
             })
             .collect();
-        if debug {
-            for sh in &shards {
-                let d = sh.debug_stuck();
-                if !d.is_empty() {
-                    eprintln!("--- stuck ranks (shard {}) ---\n{d}", sh.shard_id);
-                }
-            }
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        collect_many(shards, elapsed, threads as u32, want as u32)
+        (shards, threads)
     }
 
     /// Partition this (fresh, not-yet-run) world into `nshards`
     /// node-contiguous shards. Entity state (`ranks`, `nodes`) is
-    /// chunked, and the per-rank counter vectors are chunked with it
-    /// (`g - rank_base` indexing), so a shard's footprint is
-    /// O(ranks/shards), not O(ranks). Each shard gets its own queue
-    /// (the initial wakes rescheduled in rank order — `rank.clock`
-    /// still holds the launch skew, and nothing else is pending this
-    /// early), its own shard-local fabric (a shard only advances its
-    /// own nodes' uplinks at injection and downlinks at commit, so gate
-    /// state never races — and the gate array covers only the own node
-    /// range), its own-range `node_pending` / sink-root vectors
-    /// (indexed `node - node_base`, the node analogue of the
-    /// `g - rank_base` rank counters), and its own soft schedule.
+    /// chunked, and each chunk is [`assemble`](World::assemble)d like the
+    /// whole world was: per-rank counter vectors (`g - rank_base`
+    /// indexing) and node-indexed state (`node_pending`, sinks, the
+    /// shard-local fabric's gates: `node - node_base`) cover only the
+    /// shard's own range, so its footprint is O(ranks/shards), not
+    /// O(ranks), and gate state never races — a shard only advances its
+    /// own nodes' uplinks at injection and downlinks at commit. The
+    /// initial wakes are rescheduled in rank order (`rank.clock` still
+    /// holds the launch skew, and nothing else is pending this early).
     /// Returns the shards and the node → shard map.
     fn split_shards(mut self, nshards: usize) -> (Vec<World>, Vec<u32>) {
         assert_eq!(
@@ -356,75 +335,17 @@ impl World {
             let count = base + usize::from(i < rem);
             let nodes: Vec<Node> = nodes_iter.by_ref().take(count).collect();
             let ranks: Vec<RankState> = ranks_iter.by_ref().take(count * rpn).collect();
-            let rank_base = node_base * rpn;
             for s in &mut node_shard[node_base..node_base + count] {
                 *s = i as u32;
             }
-            let mut queue = EventQueue::with_coarse_bits(self.cfg.wheel_coarse_bits);
-            let mut node_pending = vec![PendingTimes::default(); count];
-            let shard_ranks = count * rpn;
-            let mut pending_wake = vec![Ns::MAX; shard_ranks];
-            for (j, rank) in ranks.iter().enumerate() {
-                let g = rank_base + j;
-                queue.schedule(rank.clock, Ev::Wake(g));
-                node_pending[rank.node - node_base].insert(rank.clock);
-                pending_wake[j] = rank.clock;
-            }
-            shards.push(World {
-                cfg: self.cfg.clone(),
-                hot: self.hot,
-                lc: self.lc,
-                mmc: self.mmc,
+            shards.push(World::assemble(
+                self.cfg.clone(),
                 nodes,
                 ranks,
-                fabric: Fabric::new_shard(self.cfg.fabric, nnodes, node_base, count),
-                queue,
-                delivered_payloads: 0,
-                pending_wake,
-                action_scratch: Vec::new(),
-                inbox_scratch: Vec::new(),
-                pending_trains: Vec::new(),
-                member_pool: Vec::new(),
-                fabric_member_scratch: Vec::new(),
-                sched_scratch: Vec::new(),
-                sent_scratch: Vec::new(),
-                emit_seq: 0,
-                train_epoch: 0,
-                train_delivered: vec![0; shard_ranks],
-                train_parked: vec![0; shard_ranks],
-                train_park_clock: vec![Ns::ZERO; shard_ranks],
-                engaged_scratch: Vec::new(),
-                node_pending,
-                soft: SoftSchedule::default(),
-                flows: Vec::new(),
-                sinks: (0..count).map(|_| SinkSlot::default()).collect(),
-                link_index: LinkIndex::new(),
-                resplits: 0,
-                flows_opened: 0,
-                sinks_opened: 0,
-                sink_members_total: 0,
-                max_sink_len: 0,
-                sink_pauses: 0,
-                arrival_digest: 0,
-                arrival_digest_bulk: 0,
-                arrival_sketch: Sketch::new(),
-                soft_deliveries: 0,
-                sim_now: Ns::ZERO,
-                rank_base,
                 node_base,
-                shard_id: i as u32,
-                sharded: true,
-                outbox: Vec::new(),
-                emit_order: 0,
-                commit_seq: 0,
-                sent_seen: vec![0; shard_ranks],
-                sent_seen_epoch: 0,
-                payloads_checked: 0,
-                payload_errors: 0,
-                dispatches: 0,
-                window_horizon: Ns::MAX,
-                inj_scratch: Vec::new(),
-            });
+                i as u32,
+                true,
+            ));
             node_base += count;
         }
         (shards, node_shard)
@@ -434,37 +355,23 @@ impl World {
     /// first, exactly like an event pop).
     fn dispatch_soft(&mut self, item: SoftItem) {
         match item.kind {
-            SoftKind::Flow(i) => {
-                self.node_pending_remove(self.flows[i].dst, item.at);
-                let members = std::mem::take(&mut self.flows[i].members);
-                self.flows[i].pending = false;
-                self.flows[i].last_activity = item.at;
-                self.on_packet_train(members, TrainSource::Flow(i));
+            SoftKind::Sink(i) => {
+                self.node_pending_remove(self.sinks[i].dst as usize, item.at);
+                let members = std::mem::take(&mut self.sinks[i].members);
+                // The live entry sits at the head's arrival; `sink_settle`
+                // reads its key from the front member.
+                debug_assert_eq!(members.front().map(|p| p.arrival), Some(item.at));
+                self.sinks[i].pending = false;
+                self.sinks[i].last_activity = item.at;
+                self.on_packet_train(members, TrainSource::Sink(i));
                 // The reaper disarms instead of polling while a delivery
                 // is outstanding; now that `pending` cleared (or the
                 // train paused and will come back through here), restore
                 // the one armed timer the slot's linger close relies on.
-                let f = &self.flows[i];
-                if (f.open || f.pending) && !f.reaper_armed {
-                    let at = f.last_activity + self.cfg.flow_linger_ns;
-                    self.flows[i].reaper_armed = true;
-                    self.schedule_ev(at, Ev::FlowClose { slot: i });
-                }
-            }
-            SoftKind::Sink(i) => {
-                self.node_pending_remove(i, item.at);
-                let si = i - self.node_base;
-                let members = std::mem::take(&mut self.sinks[si].members);
-                // The live entry sits at the head's arrival; `sink_settle`
-                // reads its key from the front member.
-                debug_assert_eq!(members.front().map(|p| p.arrival), Some(item.at));
-                self.sinks[si].pending = false;
-                self.sinks[si].last_activity = item.at;
-                self.on_packet_train(members, TrainSource::Sink(i));
-                let s = &self.sinks[si];
+                let s = &self.sinks[i];
                 if (s.open || s.pending) && !s.reaper_armed {
                     let at = s.last_activity + self.cfg.flow_linger_ns;
-                    self.sinks[si].reaper_armed = true;
+                    self.sinks[i].reaper_armed = true;
                     self.schedule_ev(at, Ev::SinkClose { slot: i });
                 }
             }
@@ -553,9 +460,6 @@ impl World {
                         self.run_rank(m.rank, now);
                     }
                 }
-            }
-            Ev::FlowClose { slot } => {
-                self.on_flow_close(slot, t);
             }
             Ev::SinkClose { slot } => {
                 self.on_sink_close(slot, t);

@@ -1,6 +1,6 @@
 use super::{
-    shrink_scratch, EdgeMember, EdgeMsg, Ev, FlowSlot, PendingMember, SentMember, SoftKind,
-    TrainPacket, TrainSource, World,
+    shrink_scratch, EdgeMember, EdgeMsg, Ev, PendingMember, SentMember, SinkSlot, TrainPacket,
+    TrainSource, World,
 };
 use pico_fabric::TrainMember;
 use pico_sim::Ns;
@@ -140,31 +140,10 @@ impl World {
             .record(arrival.0.saturating_sub(self.sim_now.0));
     }
 
-    fn flush_one_train(
-        &mut self,
-        src_node: usize,
-        dst_node: usize,
-        members: &mut Vec<PendingMember>,
-    ) {
-        // Inter-node link: the burst extends the link's persistent flow
-        // (or the destination's merged sink) instead of becoming its own
-        // train. Intra-node (shared-memory) arrivals are not monotone
-        // across dispatches, so those bursts stay per-flush trains — on
-        // the soft schedule.
-        if src_node != dst_node {
-            if self.sharded {
-                // Sharded engine: the destination sink lives on another
-                // shard (or must be committed in global order even when
-                // it doesn't) — run the source half here, ship the rest.
-                self.sink_defer(src_node, dst_node, members);
-            } else if self.hot.incast {
-                self.sink_append(src_node, dst_node, members);
-            } else {
-                self.flow_append(src_node, dst_node, members);
-            }
-            return;
-        }
-        // One reservation per gate for the whole burst.
+    /// The burst's emission times and wire sizes, in the pooled member
+    /// scratch (hand it back to `fabric_member_scratch` after the fabric
+    /// call).
+    fn stage_burst(&mut self, members: &[PendingMember]) -> Vec<TrainMember> {
         let mut fm = std::mem::take(&mut self.fabric_member_scratch);
         fm.clear();
         fm.extend(members.iter().map(|m| TrainMember {
@@ -172,20 +151,25 @@ impl World {
             bytes: m.bytes,
             nreqs: m.nreqs,
         }));
-        let mut scheds = std::mem::take(&mut self.sched_scratch);
-        scheds.clear();
-        self.fabric
-            .transfer_train(src_node, dst_node, &fm, &mut scheds);
-        // Collect the sender-side completion IRQs; they are serviced in
-        // global emission order by `flush_completions` once every train
-        // of the flush has its fabric schedule.
-        for (m, sched) in members.iter().zip(&scheds) {
-            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
+        fm
+    }
+
+    /// Collect the burst's sender-side completion IRQs, each raised when
+    /// its member left the uplink (`injected`, in member order). They are
+    /// serviced in global emission order by `flush_completions` once
+    /// every burst of the flush has its fabric schedule.
+    fn stage_completions(
+        &mut self,
+        src_node: usize,
+        members: &[PendingMember],
+        injected: impl Iterator<Item = Ns>,
+    ) {
+        for (m, at) in members.iter().zip(injected) {
             if let Some((rank, msg_id, window, va, cpu)) = m.completion {
                 self.sent_scratch.push((
                     m.seq,
                     src_node,
-                    sched.injected + self.lc.irq_entry,
+                    at + self.lc.irq_entry,
                     cpu,
                     SentMember {
                         rank,
@@ -196,6 +180,40 @@ impl World {
                 ));
             }
         }
+    }
+
+    fn flush_one_train(
+        &mut self,
+        src_node: usize,
+        dst_node: usize,
+        members: &mut Vec<PendingMember>,
+    ) {
+        // Inter-node link: the burst extends a persistent sink instead of
+        // becoming its own train. Intra-node (shared-memory) arrivals are
+        // not monotone across dispatches, so those bursts stay per-flush
+        // trains — on the soft schedule.
+        if src_node != dst_node {
+            if self.sharded {
+                // Sharded engine: the destination sink lives on another
+                // shard (or must be committed in global order even when
+                // it doesn't) — run the source half here, ship the rest.
+                self.sink_defer(src_node, dst_node, members);
+            } else {
+                self.sink_append(src_node, dst_node, members);
+            }
+            return;
+        }
+        // One reservation per gate for the whole burst.
+        let fm = self.stage_burst(members);
+        let mut scheds = std::mem::take(&mut self.sched_scratch);
+        scheds.clear();
+        self.fabric
+            .transfer_train(src_node, dst_node, &fm, &mut scheds);
+        self.fabric_member_scratch = fm;
+        for (m, sched) in members.iter().zip(&scheds) {
+            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
+        }
+        self.stage_completions(src_node, members, scheds.iter().map(|s| s.injected));
         // Deliver: a singleton burst stays a plain packet event; a real
         // train becomes one event at its first arrival.
         if members.len() == 1 {
@@ -232,211 +250,62 @@ impl World {
                 },
             );
         }
-        fm.clear();
-        self.fabric_member_scratch = fm;
         scheds.clear();
         self.sched_scratch = scheds;
     }
 
-    /// Find (or allocate) the persistent flow slot of a directed link.
-    /// Linear scan: a run touches a handful of inter-node links.
-    fn flow_slot(&mut self, src: usize, dst: usize) -> usize {
-        if let Some(i) = self.flows.iter().position(|f| f.src == src && f.dst == dst) {
+    /// The sink slot a burst on link `src -> dst` extends: the
+    /// destination node's under `Incast`, the directed link's own under
+    /// `Flows` (allocated on first use).
+    fn sink_slot(&mut self, src: usize, dst: usize) -> usize {
+        if self.hot.incast {
+            return dst - self.node_base;
+        }
+        if let Some(i) = self.sink_links.iter().position(|&l| l == (src, dst)) {
             return i;
         }
-        self.flows.push(FlowSlot {
-            src,
-            dst,
-            open: false,
-            members: VecDeque::new(),
-            pending: false,
-            len: 0,
-            last_activity: Ns::ZERO,
-            reaper_armed: false,
+        self.sink_links.push((src, dst));
+        self.sinks.push(SinkSlot {
+            dst: dst as u32,
+            ..SinkSlot::default()
         });
-        self.flows.len() - 1
+        self.sinks.len() - 1
     }
 
-    /// Finalize the open flow in `slot` (stats identity only: undelivered
+    /// Finalize the open sink in `slot` (stats identity only: undelivered
     /// members stay in place and a successor reuses the slot).
-    fn close_flow(&mut self, idx: usize) {
-        if self.flows[idx].open {
-            self.flows[idx].open = false;
-            self.flows[idx].len = 0;
+    fn close_sink(&mut self, slot: usize) {
+        let sink = &mut self.sinks[slot];
+        if sink.open {
+            self.max_sink_len = self.max_sink_len.max(sink.len);
+            sink.open = false;
+            sink.len = 0;
         }
     }
 
-    /// Append one flush's burst to its link's persistent flow: extend the
-    /// fabric reservation from where the previous commit left the gates
-    /// (so the analytic spread continues exactly as one longer train),
-    /// collect sender completions, and make sure one soft delivery entry
-    /// and one reaper timer cover the slot.
-    fn flow_append(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
-        let now = self.sim_now;
-        let linger = self.cfg.flow_linger_ns;
-        let idx = self.flow_slot(src_node, dst_node);
-        // Lazy close: the link idled past the linger, or this burst would
-        // breach the member cap — finalize the flow, open a successor.
-        if self.flows[idx].open {
-            let f = &self.flows[idx];
-            let idled = !f.pending && now > f.last_activity + linger;
-            let capped = f.len as usize + members.len() > self.cfg.flow_member_cap;
-            if idled || capped {
-                self.close_flow(idx);
-            }
-        }
-        if !self.flows[idx].open {
-            self.flows[idx].open = true;
-            self.flows_opened += 1;
-        }
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
-        let mut scheds = std::mem::take(&mut self.sched_scratch);
-        scheds.clear();
-        let prior = self.flows[idx].len;
-        self.fabric
-            .extend_train(src_node, dst_node, &fm, prior, &mut scheds);
-        for (m, sched) in members.iter().zip(&scheds) {
-            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
-            if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    sched.injected + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
-            }
-        }
-        let n = members.len() as u64;
-        for (m, s) in members.drain(..).zip(scheds.iter()) {
-            // Link FIFO makes arrivals monotone in commit order, even
-            // across a resplit pushback — appends keep `members` sorted.
-            debug_assert!(
-                self.flows[idx]
-                    .members
-                    .back()
-                    .is_none_or(|p| p.arrival <= s.arrival),
-                "flow arrivals must stay monotone across appends"
-            );
-            self.flows[idx].members.push_back(TrainPacket {
-                arrival: s.arrival,
-                seq: m.seq,
-                dst: m.dst,
-                src: m.src,
-                packet: m.packet,
-            });
-        }
-        self.flows[idx].len += n;
-        self.flows[idx].last_activity = now;
-        if !self.flows[idx].pending {
-            let at = self.flows[idx].members[0].arrival;
-            self.flows[idx].pending = true;
-            self.push_soft(at, SoftKind::Flow(idx));
-        }
-        if !self.flows[idx].reaper_armed {
-            self.flows[idx].reaper_armed = true;
-            self.schedule_ev(now + linger, Ev::FlowClose { slot: idx });
-        }
-        fm.clear();
-        self.fabric_member_scratch = fm;
-        scheds.clear();
-        self.sched_scratch = scheds;
-    }
-
-    /// The `Ev::FlowClose` reaper, fired at `t`: close the slot's flow if
-    /// its link has idled past the linger; re-arm while it is active (or
-    /// has a delivery outstanding); disarm for good once the flow is
-    /// closed, so an idle link costs no further events.
-    pub(super) fn on_flow_close(&mut self, slot: usize, t: Ns) {
-        let linger = self.cfg.flow_linger_ns;
-        let f = &self.flows[slot];
-        let (pending, last, open) = (f.pending, f.last_activity, f.open);
-        if pending {
-            // An outstanding delivery blocks the close, and its dispatch
-            // re-arms the timer once `pending` clears — disarm rather
-            // than poll every linger until then. (Launch-skew deferrals
-            // hold `pending` for whole milliseconds; polling them used
-            // to dominate the queue-event count.)
-            self.flows[slot].reaper_armed = false;
-            return;
-        }
-        if open && t < last + linger {
-            self.schedule_ev(last + linger, Ev::FlowClose { slot });
-            return;
-        }
-        self.flows[slot].reaper_armed = false;
-        self.close_flow(slot);
-    }
-
-    /// Finalize the open sink of node `idx` (stats identity only:
-    /// undelivered members stay in place and a successor reuses the
-    /// slot).
-    fn close_sink(&mut self, idx: usize) {
-        let si = idx - self.node_base;
-        if self.sinks[si].open {
-            self.max_sink_len = self.max_sink_len.max(self.sinks[si].len);
-            self.sinks[si].open = false;
-            self.sinks[si].len = 0;
-        }
-    }
-
-    /// Merge one flush's burst from `src_node` into `dst_node`'s
-    /// destination-rooted sink — the incast counterpart of
-    /// [`flow_append`](Self::flow_append). The fabric side
-    /// ([`Fabric::extend_sink`]) advances the source's uplink gate and
-    /// commits the shared downlink once, continuing the sink's cumulative
-    /// reservation, so arrivals are bit-identical to what per-link flows
-    /// would compute. The world side differs from flows in one place:
-    /// cross-source arrivals are not monotone in commit order, so new
-    /// members *merge* into the pending vector by `(arrival, seq)` and
-    /// the sink's single soft entry is re-keyed when the merge introduces
-    /// an earlier head.
+    /// Append one flush's burst from `src_node` to its sink. The fabric
+    /// side ([`Fabric::extend_sink`]) advances the source's uplink gate
+    /// and commits the destination's downlink once, continuing the sink's
+    /// cumulative reservation, so the analytic spread continues exactly
+    /// as one longer train. Under `Incast` the sink takes every source
+    /// link, whose arrivals are not monotone in commit order, so
+    /// `sink_settle` merges new members by `(arrival, seq)` and re-keys
+    /// the sink's single soft entry when the merge brings an earlier head.
     fn sink_append(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
         let now = self.sim_now;
-        let prior = self.sink_admit(dst_node, members.len(), now);
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
+        let slot = self.sink_slot(src_node, dst_node);
+        let prior = self.sink_admit(slot, members.len(), now);
+        let fm = self.stage_burst(members);
         let mut scheds = std::mem::take(&mut self.sched_scratch);
         scheds.clear();
         self.fabric
             .extend_sink(src_node, dst_node, &fm, prior, &mut scheds);
-        for (m, sched) in members.iter().zip(&scheds) {
-            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
-            if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    sched.injected + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
-            }
-        }
+        self.fabric_member_scratch = fm;
+        self.stage_completions(src_node, members, scheds.iter().map(|s| s.injected));
         let n = members.len();
-        let si = dst_node - self.node_base;
         for (m, s) in members.drain(..).zip(scheds.iter()) {
-            self.sinks[si].members.push_back(TrainPacket {
+            self.digest_arrival(s.arrival, m.dst, m.src, m.bytes);
+            self.sinks[slot].members.push_back(TrainPacket {
                 arrival: s.arrival,
                 seq: m.seq,
                 dst: m.dst,
@@ -444,9 +313,7 @@ impl World {
                 packet: m.packet,
             });
         }
-        self.sink_settle(dst_node, n, now);
-        fm.clear();
-        self.fabric_member_scratch = fm;
+        self.sink_settle(slot, n, now);
         scheds.clear();
         self.sched_scratch = scheds;
     }
@@ -454,36 +321,35 @@ impl World {
     /// Open-side sink bookkeeping shared by both engines' sink commits
     /// ([`sink_append`](Self::sink_append) and
     /// [`commit_edge_msg`](Self::commit_edge_msg)): before a burst of `n`
-    /// members lands in node `idx`'s sink at `now`, lazily close the
-    /// open sink — every source feeding it idled past the linger, or the
-    /// burst would breach the member cap — and open a successor
-    /// (per-sink, not per-link). Returns the sink's accumulated length,
-    /// the fabric's continuation `prior_len`.
-    fn sink_admit(&mut self, idx: usize, n: usize, now: Ns) -> u64 {
-        let si = idx - self.node_base;
-        if self.sinks[si].open {
-            let s = &self.sinks[si];
+    /// members lands in sink `slot` at `now`, lazily close the open sink
+    /// — every source feeding it idled past the linger, or the burst
+    /// would breach the member cap — and open a successor. Returns the
+    /// sink's accumulated length, the fabric's continuation `prior_len`.
+    fn sink_admit(&mut self, slot: usize, n: usize, now: Ns) -> u64 {
+        let s = &self.sinks[slot];
+        if s.open {
             let idled = !s.pending && now > s.last_activity + self.cfg.flow_linger_ns;
             let capped = s.len as usize + n > self.cfg.flow_member_cap;
             if idled || capped {
-                self.close_sink(idx);
+                self.close_sink(slot);
             }
         }
-        if !self.sinks[si].open {
-            self.sinks[si].open = true;
+        let s = &mut self.sinks[slot];
+        if !s.open {
+            s.open = true;
             self.sinks_opened += 1;
         }
-        self.sinks[si].len
+        s.len
     }
 
     /// Settle-side sink bookkeeping shared by both engines, after the
-    /// last `n` members of node `idx`'s sink were appended at `now`:
-    /// merge them into `(arrival, seq)` order, update the counters, and
-    /// keep exactly one soft entry (keyed at the head) and one reaper
-    /// armed for the sink.
-    fn sink_settle(&mut self, idx: usize, n: usize, now: Ns) {
-        let si = idx - self.node_base;
-        let sink = &mut self.sinks[si];
+    /// last `n` members of sink `slot` were appended at `now`: merge them
+    /// into `(arrival, seq)` order, update the counters, and keep exactly
+    /// one soft entry (keyed at the head) and one reaper armed for the
+    /// sink.
+    fn sink_settle(&mut self, slot: usize, n: usize, now: Ns) {
+        let incast = self.hot.incast;
+        let sink = &mut self.sinks[slot];
         let old = sink.members.len() - n;
         debug_assert!(!sink.pending || old > 0, "a pending sink has members");
         // While `pending`, the front member before the merge is where the
@@ -496,6 +362,12 @@ impl World {
         // unique, so the key is total — unstable sort is deterministic.
         let key = |p: &TrainPacket| (p.arrival, p.seq);
         if old > 0 && key(&sink.members[old]) < key(&sink.members[old - 1]) {
+            // A per-link sink has one source, whose FIFO link hands it
+            // arrivals in commit order (even across a pause), so only a
+            // per-node sink ever merges. `Flows` never reaching this sort
+            // or the re-key below is what keeps it an independent oracle
+            // for the merge.
+            debug_assert!(incast, "per-link sink arrivals must stay monotone");
             sink.members.make_contiguous().sort_unstable_by_key(key);
         }
         sink.len += n as u64;
@@ -503,19 +375,19 @@ impl World {
         let (len, head) = (sink.len, sink.members[0].arrival);
         self.sink_members_total += n as u64;
         self.max_sink_len = self.max_sink_len.max(len);
-        if !self.sinks[si].pending {
-            self.defer_sink(idx, head);
+        if !self.sinks[slot].pending {
+            self.defer_sink(slot, head);
         } else if head < entry_at {
             // The merge put an earlier member at the head: re-key the
             // sink's soft entry (and its `node_pending` mark) to the new
             // first arrival, or the delivery would fire late. The old
             // entry stays in the heap, cancelled.
-            self.node_pending_remove(idx, entry_at);
-            self.defer_sink(idx, head);
+            self.node_pending_remove(self.sinks[slot].dst as usize, entry_at);
+            self.defer_sink(slot, head);
         }
-        if !self.sinks[si].reaper_armed {
-            self.sinks[si].reaper_armed = true;
-            self.schedule_ev(now + self.cfg.flow_linger_ns, Ev::SinkClose { slot: idx });
+        if !self.sinks[slot].reaper_armed {
+            self.sinks[slot].reaper_armed = true;
+            self.schedule_ev(now + self.cfg.flow_linger_ns, Ev::SinkClose { slot });
         }
     }
 
@@ -528,33 +400,13 @@ impl World {
     /// conservative lookahead guarantees it commits before any arrival
     /// can matter (arrival ≥ emit time + base latency = the lookahead).
     fn sink_defer(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
+        let fm = self.stage_burst(members);
         let mut inj = std::mem::take(&mut self.inj_scratch);
         inj.clear();
         self.fabric.sink_inject(src_node, &fm, &mut inj);
-        for (m, i) in members.iter().zip(&inj) {
-            if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                // `up_finish` == the whole-run engine's `sched.injected`.
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    i.up_finish + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
-            }
-        }
+        self.fabric_member_scratch = fm;
+        // `up_finish` == the whole-run engine's `sched.injected`.
+        self.stage_completions(src_node, members, inj.iter().map(|i| i.up_finish));
         let ms: Vec<EdgeMember> = members
             .drain(..)
             .zip(inj.drain(..))
@@ -573,8 +425,6 @@ impl World {
             dst_node,
             members: ms,
         });
-        fm.clear();
-        self.fabric_member_scratch = fm;
         shrink_scratch(&mut inj);
         self.inj_scratch = inj;
     }
@@ -600,9 +450,10 @@ impl World {
         let now = msg.emit_at;
         self.sim_now = now;
         let idx = msg.dst_node;
-        let si = idx - self.node_base;
+        // The sharded engine runs only under `Incast`: per-node sinks.
+        let slot = idx - self.node_base;
         let n = msg.members.len();
-        let prior = self.sink_admit(idx, n, now);
+        let prior = self.sink_admit(slot, n, now);
         let mut inj = std::mem::take(&mut self.inj_scratch);
         inj.clear();
         inj.extend(msg.members.iter().map(|m| m.inj));
@@ -613,7 +464,7 @@ impl World {
             self.digest_arrival(s.arrival, m.dst, m.src, m.inj.bytes);
             let seq = self.commit_seq;
             self.commit_seq += 1;
-            self.sinks[si].members.push_back(TrainPacket {
+            self.sinks[slot].members.push_back(TrainPacket {
                 arrival: s.arrival,
                 seq,
                 dst: m.dst,
@@ -621,7 +472,7 @@ impl World {
                 packet: m.packet,
             });
         }
-        self.sink_settle(idx, n, now);
+        self.sink_settle(slot, n, now);
         inj.clear();
         shrink_scratch(&mut inj);
         self.inj_scratch = inj;
@@ -629,25 +480,28 @@ impl World {
         self.sched_scratch = scheds;
     }
 
-    /// The `Ev::SinkClose` reaper, fired at `t`: the per-sink analogue of
-    /// [`on_flow_close`](Self::on_flow_close) — one timer for the whole
-    /// incast instead of one per source link.
+    /// The `Ev::SinkClose` reaper, fired at `t`: close the sink in `slot`
+    /// if every source feeding it has idled past the linger; re-arm while
+    /// it is active; disarm for good once the sink is closed, so an idle
+    /// sink costs no further events.
     pub(super) fn on_sink_close(&mut self, slot: usize, t: Ns) {
         let linger = self.cfg.flow_linger_ns;
-        let si = slot - self.node_base;
-        let s = &self.sinks[si];
+        let s = &self.sinks[slot];
         let (pending, last, open) = (s.pending, s.last_activity, s.open);
         if pending {
-            // Same disarm-while-pending rule as [`on_flow_close`]: the
-            // sink's delivery dispatch re-arms the timer.
-            self.sinks[si].reaper_armed = false;
+            // An outstanding delivery blocks the close, and its dispatch
+            // re-arms the timer once `pending` clears — disarm rather
+            // than poll every linger until then. (Launch-skew deferrals
+            // hold `pending` for whole milliseconds; polling them used
+            // to dominate the queue-event count.)
+            self.sinks[slot].reaper_armed = false;
             return;
         }
         if open && t < last + linger {
             self.schedule_ev(last + linger, Ev::SinkClose { slot });
             return;
         }
-        self.sinks[si].reaper_armed = false;
+        self.sinks[slot].reaper_armed = false;
         self.close_sink(slot);
     }
 
@@ -663,8 +517,8 @@ impl World {
     /// * a future arrival for a rank the dispatch has not engaged (or
     ///   one that would outrun a parked rank's pending wake) must not
     ///   be delivered early or out of order: the remainder of the train
-    ///   is handed back — to the queue / soft schedule for an event
-    ///   train, or into the flow slot (lazy resplit) for a flow.
+    ///   is handed back — to the soft schedule for an event train, or
+    ///   into its slot (a lazy pause) for a sink.
     pub(super) fn on_packet_train(
         &mut self,
         mut members: VecDeque<TrainPacket>,
@@ -746,32 +600,22 @@ impl World {
             // and the remainder is handed back at its arrival. How the
             // remainder goes back is what the resplit accounting splits:
             // a train *re-commits* it as a fresh scheduler item (a
-            // requeue plus a fresh dispatch), while a flow's or sink's
-            // suffix stays in its slot and merely re-defers the soft
+            // requeue plus a fresh dispatch), while a sink's suffix
+            // stays in its slot and merely re-defers the soft
             // entry (a lazy pause, zero queue events, accumulator
             // preserved). Either way the conflicting member goes back on
             // the front of the same deque, which is handed back whole.
             members.push_front(m);
             let at = members[0].arrival;
             match source {
-                TrainSource::Flow(i) => {
-                    // Lazy resplit: only the suffix after the conflict is
-                    // split off — it goes back into the slot as the
-                    // flow's pending members and re-defers as its soft
-                    // entry; later appends extend it in place.
-                    debug_assert!(self.flows[i].members.is_empty());
-                    self.flows[i].members = members;
-                    self.flows[i].pending = true;
-                    self.push_soft(at, SoftKind::Flow(i));
-                }
                 TrainSource::Sink(i) => {
-                    // Per-sink lazy pause: the suffix (members from every
-                    // source, still merged) goes back into the sink and
-                    // re-defers as its single soft entry.
+                    // Lazy pause: only the suffix after the conflict (from
+                    // every source, still merged) goes back into the sink
+                    // and re-defers as its single soft entry; later
+                    // appends extend it in place.
                     self.sink_pauses += 1;
-                    let si = i - self.node_base;
-                    debug_assert!(self.sinks[si].members.is_empty());
-                    self.sinks[si].members = members;
+                    debug_assert!(self.sinks[i].members.is_empty());
+                    self.sinks[i].members = members;
                     self.defer_sink(i, at);
                 }
                 TrainSource::Event if members.len() == 1 => {

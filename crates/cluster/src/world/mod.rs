@@ -69,16 +69,10 @@ enum Ev {
     /// event fires at the last member's IRQ finish (the only completion
     /// an in-order pipelined sender can act on).
     SdmaSentBatch { members: Vec<SentMember> },
-    /// Flow-mode reaper timer: close `flows[slot]` if its link has idled
-    /// past `flow_linger_ns`, else re-arm. Touches no rank state (pure
-    /// flow bookkeeping), so it is exempt from `node_pending` accounting
-    /// and commutes with train continuations.
-    FlowClose { slot: usize },
-    /// Incast-mode reaper timer: close `sinks[slot]` (the destination
-    /// node's merged flow) if *every* source link feeding it has idled
-    /// past `flow_linger_ns`, else re-arm. One timer covers the whole
-    /// N-to-1 incast where flow mode arms N. Pure bookkeeping like
-    /// [`Ev::FlowClose`].
+    /// Sink reaper timer: close `sinks[slot]` if every source link
+    /// feeding it has idled past `flow_linger_ns`, else re-arm. Touches
+    /// no rank state (pure sink bookkeeping), so it is exempt from
+    /// `node_pending` accounting and commutes with train continuations.
     SinkClose { slot: usize },
 }
 
@@ -89,13 +83,9 @@ enum TrainSource {
     /// A soft `Ev::PacketTrain`: the remainder is re-emitted as a fresh
     /// train at its first arrival.
     Event,
-    /// The pending members of `flows[i]`: the remainder goes back into
-    /// the slot (lazy resplit) and re-defers as its soft entry, so later
+    /// The pending members of `sinks[i]`: the remainder goes back into
+    /// the slot (a lazy pause) and re-defers as its soft entry, so later
     /// appends keep extending it in place.
-    Flow(usize),
-    /// The pending members of `sinks[i]` (the destination node's merged
-    /// incast flow): the remainder goes back into the sink and re-defers
-    /// as its soft entry, exactly like a flow pause but per destination.
     Sink(usize),
 }
 
@@ -153,59 +143,38 @@ struct SoftItem {
 }
 
 enum SoftKind {
-    /// Deliver the pending members of `flows[i]`.
-    Flow(usize),
-    /// Deliver the pending members of `sinks[i]` (incast mode).
+    /// Deliver the pending members of `sinks[i]`.
     Sink(usize),
     /// Any other flush product (intra-node train, parked singleton,
     /// batched sender completions), dispatched exactly like the event.
     Ev(Ev),
 }
 
-/// A persistent per-link flow: the train accumulator of one
-/// `(src_node, dst_node)` link kept open across event dispatches.
-/// Successive flushes extend the fabric reservation
-/// ([`Fabric::extend_train`]) and append to `members`; delivery rides
-/// one soft-schedule entry that a lazy resplit re-defers at the first
-/// conflicting member. Slots are allocated once per link and never
-/// freed — `open` flips as flows close (linger, member cap, reaper) and
-/// successors reuse the slot.
-struct FlowSlot {
-    src: usize,
-    dst: usize,
-    /// Whether a flow is currently open on this link (stats identity).
-    open: bool,
-    /// Committed-but-undelivered members, in arrival order.
-    members: VecDeque<TrainPacket>,
-    /// Whether a `SoftKind::Flow` entry for `members` is on the soft
-    /// schedule (and has a matching `node_pending` entry).
-    pending: bool,
-    /// Members accumulated by the open flow so far (the
-    /// `extend_train` continuation length; resets when the flow closes).
-    len: u64,
-    /// Last append or delivery on this link, for linger decisions.
-    last_activity: Ns,
-    /// Whether an `Ev::FlowClose` reaper event is in the queue.
-    reaper_armed: bool,
-}
-
-/// The destination-rooted incast flow of one node (`sinks[dst_node]`):
-/// the merge of every source link's persistent flow into a single soft
-/// schedule over the node's downlink. Successive flushes from *any*
-/// source extend the shared fabric reservation
-/// ([`Fabric::extend_sink`]) and merge into `members` by
-/// `(arrival, seq)`; one soft entry, one `node_pending` mark, and one
-/// [`Ev::SinkClose`] reaper cover what flow mode pays per source link.
-/// Slots are allocated once per node and never freed; `open` flips as
-/// sinks close (linger, member cap, reaper) and successors reuse them.
+/// A sink: a persistent train accumulator, kept open across event
+/// dispatches. Under [`FabricMode::Incast`] there is
+/// one slot per destination node, merging every source link into one
+/// soft schedule over the node's downlink; under [`FabricMode::Flows`]
+/// there is one per directed link, allocated on first use. Successive
+/// flushes extend the fabric reservation ([`Fabric::extend_sink`]) and
+/// land in `members` in `(arrival, seq)` order; one soft entry, one
+/// `node_pending` mark, and one [`Ev::SinkClose`] reaper cover the
+/// slot. Slots are never freed; `open` flips as sinks close (linger,
+/// member cap, reaper) and successors reuse them.
+///
+/// [`FabricMode::Incast`]: crate::FabricMode::Incast
+/// [`FabricMode::Flows`]: crate::FabricMode::Flows
 #[derive(Default)]
 struct SinkSlot {
-    /// Whether an incast flow is currently open on this node.
+    /// The destination node: the slot's soft entry is marked in its
+    /// `node_pending`.
+    dst: u32,
+    /// Whether a sink is currently open on this slot.
     open: bool,
     /// Committed-but-undelivered members, sorted by `(arrival, seq)` —
     /// cross-source arrivals are *not* monotone in commit order (a
     /// slow-uplink member's arrival can be latency-dominated past a
-    /// later member's downlink-dominated one), so appends merge.
+    /// later member's downlink-dominated one), so a per-node sink's
+    /// appends merge; a per-link sink's never need to.
     members: VecDeque<TrainPacket>,
     /// Whether a `SoftKind::Sink` entry for `members` is on the soft
     /// schedule (with a matching `node_pending` entry). The entry is
@@ -370,10 +339,11 @@ struct HotCfg {
     pio_base: Ns,
     pio_bw: f64,
     copy_bw: f64,
-    /// Bursts coalesce into flows or sinks and ride the soft schedule
-    /// (`Flows` or `Incast`).
+    /// Bursts coalesce into sinks and ride the soft schedule (`Flows`
+    /// or `Incast`).
     batch: bool,
-    /// Per-link flows merge into destination-rooted sinks (`Incast`).
+    /// Sinks are per destination node (`Incast`), not per directed link
+    /// (`Flows`).
     incast: bool,
     /// Ranks per node: maps a (possibly remote) rank id to its node id
     /// without touching the rank vector — in sharded runs remote ranks
@@ -452,19 +422,19 @@ pub struct World {
     node_pending: Vec<PendingTimes>,
     /// Soft schedule: a min-heap on `(at, seq)`.
     soft: SoftSchedule,
-    /// Persistent per-link flow slots, scanned linearly (a run touches a
-    /// handful of directed links).
-    flows: Vec<FlowSlot>,
-    /// Destination-rooted incast sinks, one per node (`sinks[dst_node]`).
+    /// Sink slots: one per own node under `Incast` (`sinks[dst_node -
+    /// node_base]`), one per directed link under `Flows`.
     sinks: Vec<SinkSlot>,
+    /// The directed link of each sink slot under `Flows`, scanned
+    /// linearly (a run touches a handful of links); empty under
+    /// `Incast`.
+    sink_links: Vec<(usize, usize)>,
     /// Open-addressed `(src, dst) -> pending_trains bucket` index,
     /// cleared per flush, so `enqueue_member` finds a link's bucket in
     /// O(1) instead of scanning every bucket per member.
     link_index: LinkIndex,
     /// Resplit counter behind [`RunResult::fabric_resplits`].
     resplits: u64,
-    /// Flow counter behind [`RunResult::fabric_flows`].
-    flows_opened: u64,
     /// Sink counters behind the `fabric_sink*` results.
     sinks_opened: u64,
     sink_members_total: u64,
@@ -490,9 +460,9 @@ pub struct World {
     /// state, not O(ranks). Zero in single-queue runs.
     rank_base: usize,
     /// First global node id owned by this world (see `rank_base`).
-    /// `nodes`, `node_pending` and `sinks` are all indexed `node -
-    /// node_base`: they cover only the world's own node range, so a
-    /// shard never touches another shard's pending marks or sink roots.
+    /// `nodes`, `node_pending` and, under `Incast`, `sinks` are indexed
+    /// `node - node_base`: they cover only the world's own node range, so
+    /// a shard never touches another shard's pending marks or sinks.
     node_base: usize,
     /// This shard's id (0 in single-queue runs).
     shard_id: u32,
@@ -561,9 +531,6 @@ impl World {
         let shape = cfg.shape;
         let spec = pico_apps::spec(app, shape);
         let root_rng = Rng::new(cfg.seed);
-        let fabric = Fabric::new(cfg.fabric, shape.nodes as usize);
-        let lc = LinuxCosts::default();
-        let mmc = MckMmCosts::default();
 
         // Boot the address space of one local rank: buffers + scratch
         // mmapped from the node's frame pool. The VA layout this produces
@@ -628,6 +595,7 @@ impl World {
             }
         }
         let mut ranks = Vec::with_capacity(shape.nranks() as usize);
+        let mut skew_rng = root_rng.substream(7);
         for g in 0..shape.nranks() {
             let node = (g / shape.ranks_per_node) as usize;
             let local = g % shape.ranks_per_node;
@@ -653,7 +621,8 @@ impl World {
                 space,
                 dev_handle: 0,
                 ctxt: 0,
-                clock: Ns::ZERO,
+                // The launch skew: the rank's first wake.
+                clock: Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1))),
                 noise: NoiseSource::new(noise_cfg, root_rng.substream(1000 + g as u64)),
                 inbox: Vec::new(),
                 scratch: Vec::new(),
@@ -662,19 +631,23 @@ impl World {
                 done: false,
             });
         }
-        let mut queue = EventQueue::with_coarse_bits(cfg.wheel_coarse_bits);
-        let mut skew_rng = root_rng.substream(7);
-        let mut pending_wake = Vec::with_capacity(ranks.len());
-        let mut node_pending = vec![PendingTimes::default(); nodes.len()];
-        for (r, rank) in ranks.iter_mut().enumerate() {
-            let skew = Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1)));
-            rank.clock = skew;
-            queue.schedule(skew, Ev::Wake(r));
-            if cfg.batch_fabric.batches() {
-                node_pending[rank.node].insert(skew);
-            }
-            pending_wake.push(skew);
-        }
+        World::assemble(cfg, nodes, ranks, 0, 0, false)
+    }
+
+    /// Assemble a world over `nodes` and their `ranks`: the whole cluster
+    /// ([`World::new`]) or one node-contiguous shard of it
+    /// (`split_shards`), whose first node is `node_base`. A single-queue
+    /// world is the one shard over every node with `sharded` off. Each
+    /// rank's initial wake is scheduled at its `clock` (the launch skew),
+    /// in rank order.
+    fn assemble(
+        cfg: ClusterConfig,
+        nodes: Vec<Node>,
+        ranks: Vec<RankState>,
+        node_base: usize,
+        shard_id: u32,
+        sharded: bool,
+    ) -> World {
         let hot = HotCfg {
             os: cfg.os,
             pio_base: cfg.pio_base,
@@ -684,16 +657,37 @@ impl World {
             incast: cfg.batch_fabric.incast(),
             rpn: cfg.shape.ranks_per_node as usize,
         };
-        let nranks = ranks.len();
-        let nnodes = nodes.len();
+        let rank_base = node_base * hot.rpn;
+        let (nranks, nnodes) = (ranks.len(), nodes.len());
+        let mut queue = EventQueue::with_coarse_bits(cfg.wheel_coarse_bits);
+        let mut node_pending = vec![PendingTimes::default(); nnodes];
+        let mut pending_wake = Vec::with_capacity(nranks);
+        for (j, rank) in ranks.iter().enumerate() {
+            queue.schedule(rank.clock, Ev::Wake(rank_base + j));
+            if hot.batch {
+                node_pending[rank.node - node_base].insert(rank.clock);
+            }
+            pending_wake.push(rank.clock);
+        }
+        // Per-node sinks exist up front; per-link ones on first use.
+        let sinks = if hot.incast {
+            (node_base..node_base + nnodes)
+                .map(|n| SinkSlot {
+                    dst: n as u32,
+                    ..SinkSlot::default()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         World {
+            fabric: Fabric::new_shard(cfg.fabric, cfg.shape.nodes as usize, node_base, nnodes),
             cfg,
             hot,
-            lc,
-            mmc,
+            lc: LinuxCosts::default(),
+            mmc: MckMmCosts::default(),
             nodes,
             ranks,
-            fabric,
             queue,
             delivered_payloads: 0,
             pending_wake,
@@ -712,11 +706,10 @@ impl World {
             engaged_scratch: Vec::new(),
             node_pending,
             soft: SoftSchedule::default(),
-            flows: Vec::new(),
-            sinks: (0..nnodes).map(|_| SinkSlot::default()).collect(),
+            sinks,
+            sink_links: Vec::new(),
             link_index: LinkIndex::new(),
             resplits: 0,
-            flows_opened: 0,
             sinks_opened: 0,
             sink_members_total: 0,
             max_sink_len: 0,
@@ -726,10 +719,10 @@ impl World {
             arrival_sketch: Sketch::new(),
             soft_deliveries: 0,
             sim_now: Ns::ZERO,
-            rank_base: 0,
-            node_base: 0,
-            shard_id: 0,
-            sharded: false,
+            rank_base,
+            node_base,
+            shard_id,
+            sharded,
             outbox: Vec::new(),
             emit_order: 0,
             commit_seq: 0,

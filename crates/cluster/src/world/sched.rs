@@ -28,12 +28,11 @@ impl SoftSchedule {
     }
 
     /// Key of the earliest live entry, after dropping cancelled ones.
-    /// `sinks` is indexed `node - node_base`, as in the world.
-    pub(super) fn peek(&mut self, sinks: &[SinkSlot], node_base: usize) -> Option<(Ns, u64)> {
+    pub(super) fn peek(&mut self, sinks: &[SinkSlot]) -> Option<(Ns, u64)> {
         while let Some(top) = self.heap.peek() {
             let live = match top.kind {
-                SoftKind::Sink(i) => sinks[i - node_base].entry_seq == top.seq,
-                SoftKind::Flow(_) | SoftKind::Ev(_) => true,
+                SoftKind::Sink(i) => sinks[i].entry_seq == top.seq,
+                SoftKind::Ev(_) => true,
             };
             if live {
                 return Some((top.at, top.seq));
@@ -101,6 +100,7 @@ impl PendingTimes {
 
 #[cfg(test)]
 mod tests {
+    use super::super::Ev;
     use super::*;
     use pico_sim::Rng;
     use std::collections::BTreeMap;
@@ -118,7 +118,6 @@ mod tests {
     fn soft_schedule_matches_sorted_reference() {
         for case in 0..64 {
             let mut r = case_rng(0x50F7_4EA9, case);
-            let node_base = (case % 3) as usize * 100;
             let nsinks = 1 + r.gen_range(6) as usize;
             let mut sinks: Vec<SinkSlot> = (0..nsinks).map(|_| SinkSlot::default()).collect();
             let mut heap = SoftSchedule::default();
@@ -131,13 +130,13 @@ mod tests {
             };
             for _ in 0..400 + r.gen_range(400) {
                 match r.gen_range(4) {
-                    // A delivery that is never re-keyed (a flow, an event).
+                    // A delivery that is never re-keyed (an event).
                     0 => {
                         let at = Ns(now + r.gen_range(8));
                         heap.push(SoftItem {
                             at,
                             seq,
-                            kind: SoftKind::Flow(0),
+                            kind: SoftKind::Ev(Ev::Wake(0)),
                         });
                         insert(&mut reference, (at, seq));
                         seq += 1;
@@ -166,13 +165,13 @@ mod tests {
                         heap.push(SoftItem {
                             at,
                             seq,
-                            kind: SoftKind::Sink(node_base + si),
+                            kind: SoftKind::Sink(si),
                         });
                         insert(&mut reference, (at, seq));
                         seq += 1;
                     }
                     _ => {
-                        let key = heap.peek(&sinks, node_base);
+                        let key = heap.peek(&sinks);
                         assert_eq!(key, reference.first().copied(), "case {case}");
                         if key.is_none() {
                             continue;
@@ -182,18 +181,18 @@ mod tests {
                         assert_eq!(Some((item.at, item.seq)), key);
                         now = item.at.0;
                         if let SoftKind::Sink(i) = item.kind {
-                            let s = &mut sinks[i - node_base];
+                            let s = &mut sinks[i];
                             assert!(s.pending && s.entry_seq == item.seq, "cancelled entry");
                             s.pending = false;
                         }
                     }
                 }
             }
-            while let Some(key) = heap.peek(&sinks, node_base) {
+            while let Some(key) = heap.peek(&sinks) {
                 assert_eq!(Some(key), reference.first().copied(), "case {case}");
                 reference.remove(0);
                 if let SoftKind::Sink(i) = heap.pop().kind {
-                    let s = &mut sinks[i - node_base];
+                    let s = &mut sinks[i];
                     assert!(s.pending && s.entry_seq == key.1, "cancelled entry");
                     s.pending = false;
                 }

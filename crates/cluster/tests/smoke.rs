@@ -238,8 +238,8 @@ fn sharded_engine_refuses_non_incast_fabric() {
 }
 
 /// Backed (payload-carrying) runs of every CORAL skeleton through the
-/// persistent-flow path: every byte must survive appended, resplit, and
-/// soft-scheduled delivery.
+/// per-link sinks of `FabricMode::Flows`: every byte must survive
+/// appended, paused, and soft-scheduled delivery.
 #[test]
 fn backed_coral_payloads_survive_flows() {
     for app in [
@@ -272,8 +272,8 @@ fn backed_coral_payloads_survive_flows() {
             app.name()
         );
         assert!(
-            res.fabric_flows > 0,
-            "{}: the run must exercise the flow path",
+            res.fabric_sinks > 0,
+            "{}: the run must exercise the per-link sink path",
             app.name()
         );
     }

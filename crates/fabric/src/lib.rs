@@ -296,44 +296,25 @@ impl Fabric {
         self.link_train(src, dst, members, total, out);
     }
 
-    /// Append `members` to an already-committed train on the `(src, dst)`
-    /// link — the *reopenable reservation* behind persistent flows. The
-    /// gates were left at the previous commit's `free_at`, so re-running
-    /// the FIFO rule from the current cursors continues the original
-    /// analytic arrival spread exactly: calling `transfer_train` once with
-    /// all members or `extend_train` flush by flush yields byte-identical
-    /// schedules and gate state.
+    /// Append `members` emitted by source `src` to the sink on node `dst`
+    /// — the *reopenable reservation* behind the coalesced fabric modes.
+    /// A sink owns the downlink's analytic schedule and may take members
+    /// from one link (a per-link sink) or from *every* source link (a
+    /// destination-rooted sink): each call advances `src`'s uplink gate
+    /// and commits `dst`'s downlink exactly once. The gates were left at
+    /// the previous commit's `free_at`, so re-running the FIFO rule from
+    /// the current cursors continues the analytic arrival spread exactly:
+    /// one `transfer_train` call with all of a link's members, or
+    /// `extend_sink` flush by flush, yields byte-identical schedules and
+    /// gate state, and interleaved calls from many sources equal the same
+    /// global sequence of per-link calls — the FIFO merge rule is the link
+    /// rule itself.
     ///
     /// `prior_len` is the member count already committed to this logical
-    /// train; train statistics count the cumulative flow once it reaches
-    /// two members, no matter how many extensions delivered them. Flows
+    /// sink; train statistics count the cumulative sink once it reaches
+    /// two members, no matter how many extensions delivered them. Sinks
     /// exist only on inter-node links (`src != dst`): shared-memory
     /// arrivals ignore the link FIFO, so appends could not stay sorted.
-    pub fn extend_train(
-        &mut self,
-        src: usize,
-        dst: usize,
-        members: &[TrainMember],
-        prior_len: u64,
-        out: &mut Vec<TransferSchedule>,
-    ) {
-        self.extend_accounted(src, dst, members, prior_len, out);
-    }
-
-    /// Merge `members` emitted by source `src` into the
-    /// **destination-rooted sink** on node `dst` — the incast flow graph.
-    /// A sink owns the downlink's analytic schedule and accepts members
-    /// from *every* source link: each call advances `src`'s uplink gate
-    /// independently and commits the shared downlink exactly once for the
-    /// merge. Because both gate cursors persist between calls, interleaved
-    /// extensions from many sources produce byte-identical schedules and
-    /// gate state to the same global sequence of per-link
-    /// [`extend_train`](Self::extend_train) calls — the FIFO merge rule is
-    /// the link rule itself, so the sink is FIFO-exact by construction.
-    ///
-    /// `prior_len` is the member count already merged into this sink
-    /// across all sources; train statistics count the whole incast as one
-    /// cumulative logical train (same ≥2-member rule as `extend_train`).
     pub fn extend_sink(
         &mut self,
         src: usize,
@@ -342,7 +323,25 @@ impl Fabric {
         prior_len: u64,
         out: &mut Vec<TransferSchedule>,
     ) {
-        self.extend_accounted(src, dst, members, prior_len, out);
+        assert_ne!(src, dst, "sinks are inter-node only");
+        if members.is_empty() {
+            return;
+        }
+        self.messages += members.len() as u64;
+        let total: u64 = members.iter().map(|m| m.bytes).sum();
+        self.bytes += total;
+        let new_len = prior_len + members.len() as u64;
+        if new_len >= 2 {
+            if prior_len < 2 {
+                // The sink just became a train: count it and retroactively
+                // credit the members delivered before this extension.
+                self.trains += 1;
+                self.train_members += prior_len;
+            }
+            self.train_members += members.len() as u64;
+            self.max_train_len = self.max_train_len.max(new_len);
+        }
+        self.link_train(src, dst, members, total, out);
     }
 
     /// Source half of a split [`extend_sink`](Self::extend_sink): walk
@@ -393,7 +392,6 @@ impl Fabric {
     ///
     /// `prior_len` is the cumulative member count of the logical sink,
     /// with the same ≥2-member retroactive train-accounting rule as
-    /// [`extend_train`](Self::extend_train) and
     /// [`extend_sink`](Self::extend_sink).
     pub fn sink_commit(
         &mut self,
@@ -433,39 +431,8 @@ impl Fabric {
             .commit_train(down_free, total, down_busy);
     }
 
-    /// Shared accounting + link walk behind [`extend_train`](Self::extend_train)
-    /// and [`extend_sink`](Self::extend_sink).
-    fn extend_accounted(
-        &mut self,
-        src: usize,
-        dst: usize,
-        members: &[TrainMember],
-        prior_len: u64,
-        out: &mut Vec<TransferSchedule>,
-    ) {
-        assert_ne!(src, dst, "flows are inter-node only");
-        if members.is_empty() {
-            return;
-        }
-        self.messages += members.len() as u64;
-        let total: u64 = members.iter().map(|m| m.bytes).sum();
-        self.bytes += total;
-        let new_len = prior_len + members.len() as u64;
-        if new_len >= 2 {
-            if prior_len < 2 {
-                // The flow just became a train: count it and retroactively
-                // credit the members delivered before this extension.
-                self.trains += 1;
-                self.train_members += prior_len;
-            }
-            self.train_members += members.len() as u64;
-            self.max_train_len = self.max_train_len.max(new_len);
-        }
-        self.link_train(src, dst, members, total, out);
-    }
-
     /// Shared FIFO link walk for [`transfer_train`](Self::transfer_train)
-    /// and [`extend_train`](Self::extend_train): one gate commit per
+    /// and [`extend_sink`](Self::extend_sink): one gate commit per
     /// direction for the whole burst.
     fn link_train(
         &mut self,
@@ -686,8 +653,8 @@ mod tests {
     }
 
     #[test]
-    fn extend_train_continues_the_reservation_exactly() {
-        // Delivering a burst flush-by-flush through `extend_train` must be
+    fn extend_sink_continues_the_reservation_exactly() {
+        // Delivering a burst flush-by-flush through `extend_sink` must be
         // indistinguishable — schedules, gate state, stats — from one
         // `transfer_train` call with every member.
         let members = [
@@ -722,22 +689,22 @@ mod tests {
         let mut reference = Vec::new();
         whole.transfer_train(0, 1, &members, &mut reference);
 
-        let mut flow = fabric(2);
-        flow.transfer(Ns(0), 0, 1, 3000, 1);
+        let mut sink = fabric(2);
+        sink.transfer(Ns(0), 0, 1, 3000, 1);
         let mut out = Vec::new();
         let mut prior = 0u64;
         // Uneven flushes: 1 member, then 3, then 1.
         for chunk in [&members[0..1], &members[1..4], &members[4..5]] {
-            flow.extend_train(0, 1, chunk, prior, &mut out);
+            sink.extend_sink(0, 1, chunk, prior, &mut out);
             prior += chunk.len() as u64;
         }
         assert_eq!(out, reference);
-        assert_eq!(flow.bytes(), whole.bytes());
-        assert_eq!(flow.messages(), whole.messages());
-        assert_eq!(flow.uplink_busy(0), whole.uplink_busy(0));
-        assert_eq!(flow.trains(), 1, "one logical train across extensions");
-        assert_eq!(flow.train_members(), members.len() as u64);
-        assert_eq!(flow.max_train_len(), members.len() as u64);
+        assert_eq!(sink.bytes(), whole.bytes());
+        assert_eq!(sink.messages(), whole.messages());
+        assert_eq!(sink.uplink_busy(0), whole.uplink_busy(0));
+        assert_eq!(sink.trains(), 1, "one logical train across extensions");
+        assert_eq!(sink.train_members(), members.len() as u64);
+        assert_eq!(sink.max_train_len(), members.len() as u64);
     }
 
     #[test]
@@ -746,7 +713,7 @@ mod tests {
         // flushes. Merging them through one destination-rooted sink
         // (`extend_sink`, one cumulative prior_len) must reproduce the
         // schedules, gate state, and stats of the same global sequence of
-        // per-link `extend_train` calls (each with its own per-link
+        // per-link `extend_sink` calls (each with its own per-link
         // prior_len) — the FIFO-exactness claim of the sink merge.
         let flushes: &[(usize, &[TrainMember])] = &[
             (
@@ -816,7 +783,7 @@ mod tests {
         let mut reference = Vec::new();
         let mut link_prior = [0u64; 3];
         for &(src, chunk) in flushes {
-            per_link.extend_train(src, 3, chunk, link_prior[src], &mut reference);
+            per_link.extend_sink(src, 3, chunk, link_prior[src], &mut reference);
             link_prior[src] += chunk.len() as u64;
         }
 

@@ -20,7 +20,7 @@
 //!    bucket is sorted lazily, only when the wheel cursor reaches it.
 //! 3. **coarse wheel** — a second ring of `NSLOTS2` buckets of
 //!    `2^(SLOT_BITS + COARSE_BITS)` ns each (~67 ms horizon), for the
-//!    mid-future band the fine ring misses: flow-close reapers
+//!    mid-future band the fine ring misses: sink-close reapers
 //!    (`flow_linger_ns`, default 2 ms), launch skew, noise ticks. A
 //!    coarse bucket cascades into the fine ring when the fine horizon
 //!    advances over it — each event moves down at most once.

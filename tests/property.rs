@@ -635,15 +635,19 @@ fn wheel_pops_heap_sequence() {
     }
 }
 
-/// Persistent flows and destination-rooted sinks are pure event-count
-/// optimizations: both coalescing modes must produce the same physics
-/// as the per-packet reference model. Wall time must
-/// match within the documented tolerance (DESIGN.md "Packet trains" /
-/// "Fabric flows": 0.1% on these configs; coalesced delivery can
-/// reorder library entry against unrelated events, so bit-equality is
-/// not guaranteed for every workload), and the conserved quantities —
-/// ranks finished, payloads delivered, fabric bytes/messages — must be
-/// exactly equal.
+/// Per-link and per-node sinks are pure event-count optimizations: both
+/// coalescing modes must produce the same physics as the per-packet
+/// reference model. Wall time must match within the documented
+/// tolerance (DESIGN.md "Packet trains" / "Fabric sinks": 0.1% on these
+/// configs; coalesced delivery can reorder library entry against
+/// unrelated events, so bit-equality is not guaranteed for every
+/// workload), and the conserved quantities — ranks finished, payloads
+/// delivered, fabric bytes/messages — must be exactly equal.
+///
+/// Every config runs on 2 nodes, where each destination has one source:
+/// a per-node sink then holds exactly what the per-link sink holds, so
+/// `Flows` and `Incast` must agree on everything, engine counters
+/// included.
 #[test]
 fn packet_trains_match_per_packet_reference() {
     use pico_apps::{App, JobShape};
@@ -708,11 +712,22 @@ fn packet_trains_match_per_packet_reference() {
             let mut sunk = cfg;
             sunk.batch_fabric = FabricMode::Incast;
             let off = World::new(unbatched, app, iters).run();
-            for (mode, res) in [
-                ("flows", World::new(flowed, app, iters).run()),
-                ("incast", World::new(sunk, app, iters).run()),
-            ] {
-                let label = format!("case {case} {:?} {} [{mode}]", app, os.label());
+            let flows = World::new(flowed, app, iters).run();
+            let incast = World::new(sunk, app, iters).run();
+            let label = format!("case {case} {:?} {}", app, os.label());
+            assert_eq!(engine_digest(&flows), engine_digest(&incast), "{label}");
+            assert_eq!(
+                flows.fabric_train_members, incast.fabric_train_members,
+                "{label}"
+            );
+            assert_eq!(flows.fabric_max_train, incast.fabric_max_train, "{label}");
+            assert_eq!(
+                flows.kernel_profile.sorted_desc(),
+                incast.kernel_profile.sorted_desc(),
+                "{label}"
+            );
+            for (mode, res) in [("flows", flows), ("incast", incast)] {
+                let label = format!("{label} [{mode}]");
                 // The streaming sketch must agree *exactly* with the
                 // recorded vector on its exact fields, for every app ×
                 // OS × fabric mode in the equivalence mix.
@@ -753,6 +768,76 @@ fn packet_trains_match_per_packet_reference() {
                     "{label}: batching must not add events ({} vs {})",
                     res.sim_events,
                     off.sim_events
+                );
+            }
+        }
+    }
+}
+
+/// The coalesced modes against the per-packet reference at 3–8 nodes,
+/// where a per-node sink merges several sources and both modes drift
+/// from the reference by more than the 2-node 0.1 % (DESIGN.md §7).
+/// Conserved quantities must still match exactly and the coalesced
+/// runs may not spend more events. Wall time is held to 4 %, which
+/// pins the drift (worst measured: +3.48 %, 8-node alltoall, Linux,
+/// `Incast`) without retiring it.
+#[test]
+fn coalesced_fabric_drift_bounded_beyond_two_nodes() {
+    use pico_apps::{App, JobShape};
+    use pico_cluster::{ClusterConfig, FabricMode, OsConfig, World};
+
+    let alltoall = App::Alltoall {
+        bytes: 8 * 1024,
+        reps: 8,
+    };
+    // (app, nodes, ranks per node); one iteration each.
+    let cases = [
+        (alltoall, 8, 1),
+        (App::Umt2013, 8, 2),
+        (App::Lammps, 8, 2),
+        (App::Hacc, 8, 2),
+        (App::Nekbone, 8, 2),
+        (App::Umt2013, 3, 2),
+        (alltoall, 4, 1),
+    ];
+    for (app, nodes, rpn) in cases {
+        for os in OsConfig::ALL {
+            let run = |mode| {
+                let shape = JobShape {
+                    nodes,
+                    ranks_per_node: rpn,
+                };
+                let mut cfg = ClusterConfig::paper(os, shape);
+                cfg.batch_fabric = mode;
+                World::new(cfg, app, 1).run()
+            };
+            let off = run(FabricMode::PerPacket);
+            assert_eq!(off.clamped_events, 0, "{app:?} {}", os.label());
+            for mode in [FabricMode::Flows, FabricMode::Incast] {
+                let res = run(mode);
+                let label = format!("{app:?} {nodes}x{rpn} {} [{mode:?}]", os.label());
+                assert_eq!(res.ranks_done, off.ranks_done, "{label}");
+                assert_eq!(res.fabric_bytes, off.fabric_bytes, "{label}");
+                assert_eq!(res.fabric_messages, off.fabric_messages, "{label}");
+                assert_eq!(res.delivered_payloads, off.delivered_payloads, "{label}");
+                assert_eq!(res.pio_sends, off.pio_sends, "{label}");
+                assert_eq!(res.tid_programs, off.tid_programs, "{label}");
+                assert_eq!(res.offloaded_calls, off.offloaded_calls, "{label}");
+                assert_eq!(res.clamped_events, 0, "{label}");
+                assert!(
+                    res.sim_events <= off.sim_events,
+                    "{label}: batching must not add events ({} vs {})",
+                    res.sim_events,
+                    off.sim_events
+                );
+                let drift =
+                    (res.wall_time.0 as f64 - off.wall_time.0 as f64) / off.wall_time.0 as f64;
+                assert!(
+                    drift.abs() <= 0.04,
+                    "{label}: wall {} (coalesced) vs {} (reference), drift {:+.3}%",
+                    res.wall_time,
+                    off.wall_time,
+                    drift * 100.0
                 );
             }
         }
@@ -1207,8 +1292,9 @@ fn shards_touch_only_their_own_gates() {
 
 /// The auto shard heuristic never reads the run's worker count, so two
 /// runs differing only in `threads` (with `shards: None`) pick the same
-/// partition and produce byte-identical digests — the PR 6 invariance,
-/// now holding through the sizing heuristic instead of a flat constant.
+/// partition and produce byte-identical digests — the sharded engine's
+/// worker-count invariance, holding through the sizing heuristic as
+/// well as for a pinned shard count.
 #[test]
 fn auto_shard_heuristic_independent_of_worker_count() {
     use pico_apps::{App, JobShape};
