@@ -66,10 +66,6 @@ fn metrics(doc: &Json) -> Vec<(String, f64, Dir)> {
     for row in doc.get("trains").and_then(Json::as_arr).unwrap_or(&[]) {
         let os = row.get("os").and_then(Json::as_str).unwrap_or("?");
         push(
-            format!("trains[{os}].event_reduction_flows"),
-            row.get("event_reduction_flows"),
-        );
-        push(
             format!("trains[{os}].event_reduction_incast"),
             row.get("event_reduction_incast"),
         );

@@ -107,8 +107,6 @@ pub struct ClusterConfig {
     pub os: OsConfig,
     /// Job shape (nodes × ranks/node).
     pub shape: JobShape,
-    /// Cores per node (68 on the paper's KNL nodes).
-    pub cores_per_node: u32,
     /// Linux service cores per node (4 on OFP).
     pub service_cores: usize,
     /// Physical memory per node handed to the rank side.
@@ -207,7 +205,6 @@ impl ClusterConfig {
         ClusterConfig {
             os,
             shape,
-            cores_per_node: 68,
             service_cores: 4,
             // Enough for buffers: scale with ranks (32 MiB per rank + slack).
             mem_per_node: (shape.ranks_per_node as u64 + 4) * (64 << 20),
@@ -260,7 +257,6 @@ mod tests {
             ranks_per_node: 32,
         };
         let c = ClusterConfig::paper(OsConfig::McKernel, shape);
-        assert_eq!(c.cores_per_node, 68);
         assert_eq!(c.service_cores, 4);
         assert_eq!(c.psm.ranks_per_node, 32);
         assert!(c.mem_per_node > 32 * (32 << 20));

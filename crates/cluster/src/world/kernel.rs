@@ -1,6 +1,5 @@
 use super::{shrink_scratch, Ev, PendingMember, SentMember, World};
 use crate::config::OsConfig;
-use pico_hfi1::SdmaSubmission;
 use pico_ihk::Sysno;
 use pico_mem::VirtAddr;
 use pico_mpi::HostOp;
@@ -100,111 +99,76 @@ impl World {
 
     // ---- kernel operation executors ---------------------------------------
 
-    fn sys_tid_register(&mut self, r: usize, va: VirtAddr, len: u64, now: &mut Ns) -> Vec<u16> {
-        let start = *now;
-        let node = self.ranks[(r) - self.rank_base].node;
-        let (tids, route_done) = match self.hot.os {
-            OsConfig::Linux => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let node = &mut self.nodes[(node) - self.node_base];
-                let reg = node
-                    .driver
-                    .tid_update(
-                        &mut node.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("TID registration failed");
-                let cpu = self.lc.syscall_entry + self.lc.vfs_dispatch + reg.cpu;
-                (reg.tids, *now + cpu)
-            }
-            OsConfig::McKernel => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let reg = noderef
-                    .driver
-                    .tid_update(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("TID registration failed");
-                let service = self.lc.syscall_entry + self.lc.vfs_dispatch + reg.cpu;
-                let grant = noderef.delegator.offload(*now, Sysno::Ioctl, service);
-                (reg.tids, grant.complete)
-            }
-            OsConfig::McKernelHfi => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let fast = noderef.fast.as_mut().expect("fast path present");
-                let reg = fast
-                    .tid_update(&mut noderef.chip, &rank.space, rank.ctxt, va, len)
-                    .expect("fast TID registration failed");
-                (reg.tids, *now + reg.cpu)
+    /// Charge `service` of Linux-side work for call `sysno` of rank `r`,
+    /// issued at `now`. Linux runs the call in place; both McKernel
+    /// configurations offload it over IKC to the node's few Linux
+    /// service cores, where it queues behind every other offloaded call
+    /// and completion IRQ. Every device and file call outside the
+    /// PicoDriver fast paths comes through here; scratch `mmap`/`munmap`
+    /// and `nanosleep` stay with the rank's own kernel.
+    /// Records the call in the rank's kernel profile and returns
+    /// `(complete, linux_done)`: when the rank resumes, and when the
+    /// Linux side finished the work (the same instant on Linux).
+    fn linux_call(&mut self, r: usize, sysno: Sysno, now: Ns, service: Ns) -> (Ns, Ns) {
+        let rank = &mut self.ranks[r - self.rank_base];
+        let (complete, linux_done) = match self.hot.os {
+            OsConfig::Linux => (now + service, now + service),
+            OsConfig::McKernel | OsConfig::McKernelHfi => {
+                let g = self.nodes[rank.node - self.node_base]
+                    .delegator
+                    .offload(now, sysno, service);
+                (g.complete, g.linux_done)
             }
         };
-        *now = route_done;
-        self.ranks[(r) - self.rank_base]
-            .kprof
-            .record(Sysno::Ioctl, *now - start);
-        tids
+        rank.kprof.record(sysno, complete - now);
+        (complete, linux_done)
+    }
+
+    fn sys_tid_register(&mut self, r: usize, va: VirtAddr, len: u64, now: &mut Ns) -> Vec<u16> {
+        let rank = &mut self.ranks[r - self.rank_base];
+        let node = &mut self.nodes[rank.node - self.node_base];
+        if let Some(fast) = node.fast.as_mut() {
+            // PicoDriver fast path: the TID ioctl runs in the LWK.
+            let reg = fast
+                .tid_update(&mut node.chip, &rank.space, rank.ctxt, va, len)
+                .expect("fast TID registration failed");
+            *now += reg.cpu;
+            rank.kprof.record(Sysno::Ioctl, reg.cpu);
+            return reg.tids;
+        }
+        let reg = node
+            .driver
+            .tid_update(
+                &mut node.chip,
+                &mut rank.space,
+                rank.dev_handle,
+                va,
+                len,
+                &self.lc,
+            )
+            .expect("TID registration failed");
+        let service = self.lc.syscall_entry + self.lc.vfs_dispatch + reg.cpu;
+        (*now, _) = self.linux_call(r, Sysno::Ioctl, *now, service);
+        reg.tids
     }
 
     fn sys_tid_unregister(&mut self, r: usize, va: VirtAddr, len: u64, tids: &[u16], now: &mut Ns) {
-        let start = *now;
-        let node = self.ranks[(r) - self.rank_base].node;
-        match self.hot.os {
-            OsConfig::Linux => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let cpu = noderef
-                    .driver
-                    .tid_free(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        tids,
-                    )
-                    .expect("TID free failed");
-                *now += self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
-            }
-            OsConfig::McKernel => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let cpu = noderef
-                    .driver
-                    .tid_free(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        tids,
-                    )
-                    .expect("TID free failed");
-                let service = self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
-                let grant = noderef.delegator.offload(*now, Sysno::Ioctl, service);
-                *now = grant.complete;
-            }
-            OsConfig::McKernelHfi => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let fast = noderef.fast.as_mut().expect("fast path present");
-                let cpu = fast
-                    .tid_free(&mut noderef.chip, rank.ctxt, va, len, tids, false)
-                    .expect("fast TID free failed");
-                *now += cpu;
-            }
+        let rank = &mut self.ranks[r - self.rank_base];
+        let node = &mut self.nodes[rank.node - self.node_base];
+        if let Some(fast) = node.fast.as_mut() {
+            let cpu = fast
+                .tid_free(&mut node.chip, rank.ctxt, va, len, tids, false)
+                .expect("fast TID free failed");
+            *now += cpu;
+            rank.kprof.record(Sysno::Ioctl, cpu);
+            return;
         }
-        self.ranks[(r) - self.rank_base]
-            .kprof
-            .record(Sysno::Ioctl, *now - start);
+        let cpu = node
+            .driver
+            .tid_free(&mut node.chip, &mut rank.space, rank.dev_handle, va, tids)
+            .expect("TID free failed");
+        let service = self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
+        (*now, _) = self.linux_call(r, Sysno::Ioctl, *now, service);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -219,70 +183,45 @@ impl World {
         payload: Option<Vec<u8>>,
         now: &mut Ns,
     ) {
-        let start = *now;
-        let node_idx = self.ranks[(r) - self.rank_base].node;
-        let (sub, wire_start): (SdmaSubmission, Ns) = match self.hot.os {
-            OsConfig::Linux => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let sub = noderef
-                    .driver
-                    .sdma_writev(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("writev failed");
-                let cpu = self.lc.syscall_entry + self.lc.vfs_dispatch + sub.cpu;
-                *now += cpu;
-                (sub, *now)
-            }
-            OsConfig::McKernel => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let sub = noderef
-                    .driver
-                    .sdma_writev(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("writev failed");
-                let service = self.lc.syscall_entry + self.lc.vfs_dispatch + sub.cpu;
-                let grant = noderef.delegator.offload(*now, Sysno::Writev, service);
-                *now = grant.complete;
-                (sub, grant.linux_done)
-            }
-            OsConfig::McKernelHfi => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let fast = noderef.fast.as_mut().expect("fast path present");
-                // Cross-kernel read of the live driver engine state via
-                // DWARF-extracted offsets.
-                let state = noderef.driver.sdma_state(0).bytes();
-                let sub = fast
-                    .sdma_writev(&mut noderef.chip, &rank.space, state, va, len, 0)
-                    .expect("fast writev failed");
-                *now += sub.cpu;
-                // Allocate completion metadata from the LWK per-core pool
-                // (freed later from a Linux CPU via the ported callback).
-                if let Some(alloc) = noderef.lwk_alloc.as_ref() {
-                    if let Ok(block) = alloc.alloc(rank.local as usize) {
-                        rank.meta.insert((msg_id, window), block);
-                    }
+        let rank = &mut self.ranks[r - self.rank_base];
+        let node_idx = rank.node;
+        let node = &mut self.nodes[node_idx - self.node_base];
+        let (nreqs, wire_start) = if let Some(fast) = node.fast.as_mut() {
+            // Cross-kernel read of the live driver engine state via
+            // DWARF-extracted offsets.
+            let state = node.driver.sdma_state(0).bytes();
+            let sub = fast
+                .sdma_writev(&mut node.chip, &rank.space, state, va, len, 0)
+                .expect("fast writev failed");
+            *now += sub.cpu;
+            rank.kprof.record(Sysno::Writev, sub.cpu);
+            // Allocate completion metadata from the LWK per-core pool
+            // (freed later from a Linux CPU via the ported callback).
+            if let Some(alloc) = node.lwk_alloc.as_ref() {
+                if let Ok(block) = alloc.alloc(rank.local as usize) {
+                    rank.meta.insert((msg_id, window), block);
                 }
-                (sub, *now)
             }
+            (sub.nreqs, *now)
+        } else {
+            let sub = node
+                .driver
+                .sdma_writev(
+                    &mut node.chip,
+                    &mut rank.space,
+                    rank.dev_handle,
+                    va,
+                    len,
+                    &self.lc,
+                )
+                .expect("writev failed");
+            let service = self.lc.syscall_entry + self.lc.vfs_dispatch + sub.cpu;
+            let (complete, linux_done) = self.linux_call(r, Sysno::Writev, *now, service);
+            *now = complete;
+            // The window goes on the wire once the Linux driver has
+            // queued it, while the reply is still travelling back.
+            (sub.nreqs, linux_done)
         };
-        self.ranks[(r) - self.rank_base]
-            .kprof
-            .record(Sysno::Writev, *now - start);
         // Wire the window to the destination node (arithmetically: the
         // destination rank may belong to a different shard).
         let dst_node = dst as usize / self.hot.rpn;
@@ -312,7 +251,7 @@ impl World {
                     dst: dst as usize,
                     src: self.ranks[(r) - self.rank_base].engine.rank(),
                     bytes: len + 64,
-                    nreqs: sub.nreqs,
+                    nreqs,
                     packet,
                     completion: Some((r, msg_id, window, va.0, completion_cpu)),
                 },
@@ -321,7 +260,7 @@ impl World {
         }
         let sched = self
             .fabric
-            .transfer(wire_start, node_idx, dst_node, len + 64, sub.nreqs);
+            .transfer(wire_start, node_idx, dst_node, len + 64, nreqs);
         let src_rank = self.ranks[(r) - self.rank_base].engine.rank();
         self.digest_arrival(sched.arrival, dst as usize, src_rank, len + 64);
         self.schedule_ev(
@@ -411,112 +350,48 @@ impl World {
         let node_idx = self.ranks[(r) - self.rank_base].node;
         match op {
             HostOp::InitDevice => {
-                let start = now;
-                let rank_global = self.ranks[(r) - self.rank_base].engine.rank();
                 // Proxy process + device open + 6 device-region mmaps.
-                let open_cpu;
-                {
-                    let rank = &mut self.ranks[(r) - self.rank_base];
-                    let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                    let pid = noderef.proxies.spawn(rank_global);
-                    let (handle, ctxt, cpu) = noderef
-                        .driver
-                        .open(&mut noderef.chip)
-                        .expect("device open failed");
-                    let fd = noderef
-                        .vfs
-                        .open(pid, noderef.dev, handle)
-                        .expect("vfs open failed");
-                    debug_assert!(fd >= 3);
-                    rank.dev_handle = handle;
-                    rank.ctxt = ctxt;
-                    open_cpu = self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
+                let rank = &mut self.ranks[r - self.rank_base];
+                let node = &mut self.nodes[node_idx - self.node_base];
+                let pid = node.proxies.spawn(rank.engine.rank());
+                let (handle, ctxt, cpu) = node
+                    .driver
+                    .open(&mut node.chip)
+                    .expect("device open failed");
+                let fd = node
+                    .vfs
+                    .open(pid, node.dev, handle)
+                    .expect("vfs open failed");
+                debug_assert!(fd >= 3);
+                rank.dev_handle = handle;
+                rank.ctxt = ctxt;
+                let mmap = self.lc.syscall_entry + node.driver.dev_mmap();
+                let open = self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
+                (now, _) = self.linux_call(r, Sysno::Open, now, open);
+                for _ in 0..6 {
+                    (now, _) = self.linux_call(r, Sysno::Mmap, now, mmap);
                 }
-                match self.cfg.os {
-                    OsConfig::Linux => {
-                        now += open_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Open, open_cpu);
-                        for _ in 0..6 {
-                            let cpu = self.lc.syscall_entry
-                                + self.nodes[(node_idx) - self.node_base].driver.dev_mmap();
-                            now += cpu;
-                            self.ranks[(r) - self.rank_base]
-                                .kprof
-                                .record(Sysno::Mmap, cpu);
-                        }
-                    }
-                    OsConfig::McKernel | OsConfig::McKernelHfi => {
-                        let g = self.nodes[(node_idx) - self.node_base].delegator.offload(
-                            now,
-                            Sysno::Open,
-                            open_cpu,
-                        );
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Open, g.complete - now);
-                        now = g.complete;
-                        for _ in 0..6 {
-                            let service = self.lc.syscall_entry
-                                + self.nodes[(node_idx) - self.node_base].driver.dev_mmap();
-                            let g = self.nodes[(node_idx) - self.node_base].delegator.offload(
-                                now,
-                                Sysno::Mmap,
-                                service,
-                            );
-                            self.ranks[(r) - self.rank_base]
-                                .kprof
-                                .record(Sysno::Mmap, g.complete - now);
-                            now = g.complete;
-                        }
-                        if self.cfg.os == OsConfig::McKernelHfi {
-                            // LWK-side initialization of the driver-internal
-                            // mappings and the DWARF-ported structures.
-                            now += self.cfg.pico_init_cost;
-                        }
-                    }
+                if self.hot.os == OsConfig::McKernelHfi {
+                    // LWK-side initialization of the driver-internal
+                    // mappings and the DWARF-ported structures.
+                    now += self.cfg.pico_init_cost;
                 }
-                let _ = start;
                 now
             }
             HostOp::FiniDevice => {
-                let rank_global = self.ranks[(r) - self.rank_base].engine.rank();
-                let close_cpu;
-                {
-                    let rank = &mut self.ranks[(r) - self.rank_base];
-                    let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                    close_cpu = noderef
-                        .driver
-                        .close(&mut noderef.chip, rank.dev_handle)
-                        .unwrap_or(Ns::ZERO)
-                        + self.lc.syscall_entry;
-                    noderef.proxies.reap(rank_global);
-                }
-                match self.cfg.os {
-                    OsConfig::Linux => {
-                        now += close_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Close, close_cpu);
-                    }
-                    _ => {
-                        let g = self.nodes[(node_idx) - self.node_base].delegator.offload(
-                            now,
-                            Sysno::Close,
-                            close_cpu,
-                        );
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Close, g.complete - now);
-                        now = g.complete;
-                    }
-                }
-                now
+                let rank = &mut self.ranks[r - self.rank_base];
+                let node = &mut self.nodes[node_idx - self.node_base];
+                let close = node
+                    .driver
+                    .close(&mut node.chip, rank.dev_handle)
+                    .unwrap_or(Ns::ZERO)
+                    + self.lc.syscall_entry;
+                node.proxies.reap(rank.engine.rank());
+                self.linux_call(r, Sysno::Close, now, close).0
             }
             HostOp::MmapScratch { bytes } => {
                 let pinned = self.cfg.os != OsConfig::Linux;
-                let (leaves, va) = {
+                let leaves = {
                     let rank = &mut self.ranks[(r) - self.rank_base];
                     let noderef = &mut self.nodes[(node_idx) - self.node_base];
                     let (va, stats) = rank
@@ -524,9 +399,8 @@ impl World {
                         .mmap_anonymous(noderef.frames.get_mut(), bytes, pinned)
                         .expect("scratch mmap failed");
                     rank.scratch.push((va, bytes));
-                    (stats.leaves_mapped, va)
+                    stats.leaves_mapped
                 };
-                let _ = va;
                 // Linux maps lazily and uses THP: charge per 2 MiB
                 // granule, not per populated 4 KiB leaf.
                 let thp = bytes.div_ceil(2 << 20);
@@ -586,38 +460,14 @@ impl World {
                 now
             }
             HostOp::ReadInput { bytes } => {
-                let read_cpu = self.lc.syscall_entry + transfer_time(bytes, 2.0e9);
-                let open_cpu = self.lc.syscall_entry + self.lc.vfs_dispatch;
-                match self.cfg.os {
-                    OsConfig::Linux => {
-                        now += open_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Open, open_cpu);
-                        now += read_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Read, read_cpu);
-                        now += open_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Close, open_cpu);
-                    }
-                    _ => {
-                        for (sysno, service) in [
-                            (Sysno::Open, open_cpu),
-                            (Sysno::Read, read_cpu),
-                            (Sysno::Close, open_cpu),
-                        ] {
-                            let g = self.nodes[(node_idx) - self.node_base]
-                                .delegator
-                                .offload(now, sysno, service);
-                            self.ranks[(r) - self.rank_base]
-                                .kprof
-                                .record(sysno, g.complete - now);
-                            now = g.complete;
-                        }
-                    }
+                let open = self.lc.syscall_entry + self.lc.vfs_dispatch;
+                let read = self.lc.syscall_entry + transfer_time(bytes, 2.0e9);
+                for (sysno, service) in [
+                    (Sysno::Open, open),
+                    (Sysno::Read, read),
+                    (Sysno::Close, open),
+                ] {
+                    (now, _) = self.linux_call(r, sysno, now, service);
                 }
                 now
             }

@@ -30,7 +30,7 @@ use pico_hfi1::structs::LayoutSet;
 use pico_hfi1::{Hfi1Driver, HfiChip, HfiChipConfig, HfiDriverCosts};
 use pico_ihk::{Delegator, ProxyRegistry, Sysno};
 use pico_linux::{LinuxCosts, NoiseConfig, NoiseSource, Vfs};
-use pico_mckernel::{BlockId, MckMmCosts, ScalableAllocator, SyscallTable};
+use pico_mckernel::{BlockId, MckMmCosts, ScalableAllocator};
 use pico_mem::{
     AddressSpace, BuddyAllocator, Frames, MapPolicy, PhysAddr, SpaceTemplate, VirtAddr,
 };
@@ -785,15 +785,6 @@ impl World {
         } else {
             (None, None, None, None, None)
         };
-        // Sanity: the syscall routing table matches the configuration.
-        let table = match cfg.os {
-            OsConfig::McKernelHfi => SyscallTable::with_hfi_picodriver(),
-            _ => SyscallTable::base(),
-        };
-        debug_assert_eq!(
-            table.has_fastpath(Sysno::Writev),
-            cfg.os == OsConfig::McKernelHfi
-        );
         Node {
             frames: Frames::Owned(frames),
             vfs,

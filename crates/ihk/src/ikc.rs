@@ -1,11 +1,12 @@
 //! Inter-Kernel Communication (IKC): the message channel between the LWK
 //! and Linux that carries system-call delegation requests and replies.
+//! The channel is modelled by its latencies alone; the
+//! [`Delegator`](crate::Delegator) charges them per offloaded call.
 
 use pico_sim::Ns;
-use std::collections::VecDeque;
 
 /// Latency parameters of an IKC channel. Calibrated to the IHK/McKernel
-//  papers: an uncontended offloaded no-op syscall costs a few microseconds
+/// papers: an uncontended offloaded no-op syscall costs a few microseconds
 /// round trip, dominated by the inter-processor interrupt and the proxy
 /// process wakeup on the Linux side.
 #[derive(Clone, Copy, Debug)]
@@ -36,139 +37,5 @@ impl Default for IkcConfig {
             thrash_div: 4,
             thrash_cap: Ns::micros(25),
         }
-    }
-}
-
-/// A unidirectional, FIFO, latency-modelled message channel.
-#[derive(Debug)]
-pub struct IkcChannel<T> {
-    cfg: IkcConfig,
-    in_flight: VecDeque<(Ns, T)>, // (deliverable_at, message)
-    sent: u64,
-    delivered: u64,
-}
-
-impl<T> IkcChannel<T> {
-    /// New channel with the given latency configuration.
-    pub fn new(cfg: IkcConfig) -> Self {
-        IkcChannel {
-            cfg,
-            in_flight: VecDeque::new(),
-            sent: 0,
-            delivered: 0,
-        }
-    }
-
-    /// Channel configuration.
-    pub fn config(&self) -> IkcConfig {
-        self.cfg
-    }
-
-    /// Send `msg` at time `now`; returns when it becomes deliverable on
-    /// the remote side. FIFO: a message never becomes deliverable before
-    /// one sent earlier.
-    pub fn send(&mut self, now: Ns, msg: T) -> Ns {
-        let mut at = now + self.cfg.one_way;
-        if let Some(&(prev, _)) = self.in_flight.back() {
-            at = at.max(prev);
-        }
-        self.in_flight.push_back((at, msg));
-        self.sent += 1;
-        at
-    }
-
-    /// Pop every message deliverable at or before `now`.
-    pub fn drain_ready(&mut self, now: Ns) -> Vec<(Ns, T)> {
-        let mut out = Vec::new();
-        while let Some(&(at, _)) = self.in_flight.front() {
-            if at <= now {
-                let (at, msg) = self.in_flight.pop_front().unwrap();
-                self.delivered += 1;
-                out.push((at, msg));
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Earliest pending delivery time.
-    pub fn next_delivery(&self) -> Option<Ns> {
-        self.in_flight.front().map(|&(at, _)| at)
-    }
-
-    /// Messages sent so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-    /// Messages delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-    /// Messages currently in flight.
-    pub fn pending(&self) -> usize {
-        self.in_flight.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn chan() -> IkcChannel<u32> {
-        IkcChannel::new(IkcConfig {
-            one_way: Ns(100),
-            proxy_dispatch: Ns(10),
-            proxy_service: Ns(0),
-            thrash_div: 4,
-            thrash_cap: Ns(0),
-        })
-    }
-
-    #[test]
-    fn messages_arrive_after_latency() {
-        let mut c = chan();
-        let at = c.send(Ns(0), 7);
-        assert_eq!(at, Ns(100));
-        assert!(c.drain_ready(Ns(99)).is_empty());
-        let got = c.drain_ready(Ns(100));
-        assert_eq!(got, vec![(Ns(100), 7)]);
-        assert_eq!(c.delivered(), 1);
-    }
-
-    #[test]
-    fn fifo_ordering_is_preserved() {
-        let mut c = chan();
-        c.send(Ns(0), 1);
-        // Sent later but... latency says Ns(100) for first, Ns(150) for
-        // this one; FIFO holds trivially.
-        c.send(Ns(50), 2);
-        let got = c.drain_ready(Ns(1000));
-        assert_eq!(got.iter().map(|&(_, m)| m).collect::<Vec<_>>(), vec![1, 2]);
-        // Delivery times are monotone.
-        assert!(got[0].0 <= got[1].0);
-    }
-
-    #[test]
-    fn fifo_never_reorders_even_with_clock_skew() {
-        let mut c = chan();
-        let a = c.send(Ns(100), 1); // deliverable 200
-                                    // Hypothetical earlier-timestamped send after (e.g. another core):
-        let b = c.send(Ns(50), 2); // raw latency says 150, FIFO forces ≥ 200
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn counters_track() {
-        let mut c = chan();
-        for i in 0..5 {
-            c.send(Ns(i), i as u32);
-        }
-        assert_eq!(c.sent(), 5);
-        assert_eq!(c.pending(), 5);
-        c.drain_ready(Ns::MAX);
-        assert_eq!(c.delivered(), 5);
-        assert_eq!(c.pending(), 0);
-        assert_eq!(c.next_delivery(), None);
     }
 }

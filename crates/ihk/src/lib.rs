@@ -2,25 +2,21 @@
 //!
 //! The substrate that lets a lightweight kernel run next to Linux:
 //!
-//! * [`partition`] — dynamic CPU-core and physical-memory partitioning
-//!   (the paper's 4 Linux + 64 LWK cores per KNL node);
-//! * [`ikc`] — the latency-modelled inter-kernel message channel;
+//! * [`ikc`] — the latency parameters of the inter-kernel channel;
 //! * [`delegate`] — system-call delegation: IKC round trip plus a FIFO
 //!   queue on the few Linux service cores, whose contention under
 //!   many-rank SDMA/ioctl load is the bottleneck PicoDriver attacks;
 //! * [`proxy`] — the Linux proxy process paired with every LWK process;
-//! * [`syscall`] — shared syscall numbers and routing classification.
+//! * [`syscall`] — the syscall numbers both kernels' profiles share.
 
 #![warn(missing_docs)]
 
 pub mod delegate;
 pub mod ikc;
-pub mod partition;
 pub mod proxy;
 pub mod syscall;
 
 pub use delegate::{Delegator, OffloadGrant};
-pub use ikc::{IkcChannel, IkcConfig};
-pub use partition::{CoreId, CpuPartition, MemPartition, PartitionError};
+pub use ikc::IkcConfig;
 pub use proxy::{LinuxPid, LwkPid, ProxyProcess, ProxyRegistry};
-pub use syscall::{SyscallRoute, Sysno};
+pub use syscall::Sysno;

@@ -1,4 +1,4 @@
-//! System call numbers and classification shared by both kernel models.
+//! System call numbers shared by both kernel models.
 
 use core::fmt;
 
@@ -73,17 +73,6 @@ impl fmt::Display for Sysno {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Where a system call issued on the LWK ends up being handled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyscallRoute {
-    /// Handled locally by the issuing kernel.
-    Local,
-    /// Delegated to Linux over IKC and executed by the proxy process.
-    Offloaded,
-    /// Handled locally by the LWK through a PicoDriver fast path.
-    FastPath,
 }
 
 #[cfg(test)]

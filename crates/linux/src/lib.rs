@@ -5,10 +5,6 @@
 //!
 //! * [`vfs`] — character-device registry and per-process fd tables (the
 //!   HFI1 device file lives here; McKernel has no fd state of its own);
-//! * [`kmalloc`] — a kernel heap minting pointers in the physical direct
-//!   map, the very pointers §3.1's unification makes LWK-dereferenceable;
-//! * [`irq`] — interrupt vectors; SDMA completions are always handled on
-//!   Linux CPUs (§3.3);
 //! * [`noise`] — the OS-jitter model (`nohz_full` residual ticks, daemon
 //!   preemptions) that McKernel cores do not suffer;
 //! * [`costs`] — calibrated primitive costs for the node model.
@@ -16,13 +12,9 @@
 #![warn(missing_docs)]
 
 pub mod costs;
-pub mod irq;
-pub mod kmalloc;
 pub mod noise;
 pub mod vfs;
 
 pub use costs::LinuxCosts;
-pub use irq::{HandlerId, IrqController, IrqError, IrqVector};
-pub use kmalloc::{KernelHeap, KmallocError};
 pub use noise::{NoiseConfig, NoiseSource};
 pub use vfs::{DevId, DeviceRegistry, FdTable, OpenFile, Vfs, VfsError};

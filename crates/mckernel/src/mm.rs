@@ -7,8 +7,11 @@
 //! profile (Figure 9) and called out as future work — is that `munmap` is
 //! expensive: page-table teardown plus a TLB shootdown that crosses the
 //! kernel boundary over IKC.
+//!
+//! The mappings themselves are pinned `pico_mem::AddressSpace` mappings;
+//! the simulator charges these costs for the LWK-local scratch
+//! `mmap`/`munmap` calls.
 
-use pico_mem::{AddressSpace, BuddyAllocator, MapError, MapPolicy, MapStats, VirtAddr};
 use pico_sim::Ns;
 
 /// Cost parameters of McKernel's memory manager.
@@ -27,8 +30,6 @@ pub struct MckMmCosts {
     /// TLB shootdown: fixed cost of the cross-core (and cross-kernel,
     /// when the mapping was visible to Linux) invalidation round.
     pub tlb_shootdown: Ns,
-    /// Page-table walk cost per level (the fast-path translation cost).
-    pub walk_per_level: Ns,
 }
 
 impl Default for MckMmCosts {
@@ -42,135 +43,6 @@ impl Default for MckMmCosts {
             munmap_base: Ns::micros(4),
             munmap_per_leaf: Ns::nanos(600),
             tlb_shootdown: Ns::micros(20),
-            walk_per_level: Ns::nanos(25),
         }
-    }
-}
-
-/// Outcome of an mm operation: the result plus the modelled kernel time.
-#[derive(Clone, Copy, Debug)]
-pub struct MmOutcome<T> {
-    /// Operation result.
-    pub value: T,
-    /// Kernel CPU time consumed.
-    pub kernel_time: Ns,
-}
-
-/// McKernel's per-process memory manager.
-pub struct MckMm {
-    /// The underlying address space (always `ContiguousLarge`).
-    pub space: AddressSpace,
-    costs: MckMmCosts,
-}
-
-impl MckMm {
-    /// A process address space under McKernel policy.
-    pub fn new(mmap_base: VirtAddr, costs: MckMmCosts) -> MckMm {
-        MckMm {
-            space: AddressSpace::new(MapPolicy::ContiguousLarge, mmap_base),
-            costs,
-        }
-    }
-
-    /// Cost table.
-    pub fn costs(&self) -> MckMmCosts {
-        self.costs
-    }
-
-    /// Anonymous mmap: always pinned (McKernel guarantees mappings are
-    /// only ever torn down by explicit user request).
-    pub fn mmap_anonymous(
-        &mut self,
-        frames: &mut BuddyAllocator,
-        len: u64,
-    ) -> Result<MmOutcome<(VirtAddr, MapStats)>, MapError> {
-        let (va, stats) = self.space.mmap_anonymous(frames, len, true)?;
-        let kernel_time = self.costs.syscall_entry
-            + self.costs.mmap_base
-            + self.costs.mmap_per_leaf * stats.leaves_mapped;
-        Ok(MmOutcome {
-            value: (va, stats),
-            kernel_time,
-        })
-    }
-
-    /// munmap: teardown plus TLB shootdown.
-    pub fn munmap(
-        &mut self,
-        frames: &mut BuddyAllocator,
-        va: VirtAddr,
-    ) -> Result<MmOutcome<()>, MapError> {
-        let leaves = self.space.munmap(frames, va)?;
-        let kernel_time = self.costs.syscall_entry
-            + self.costs.munmap_base
-            + self.costs.munmap_per_leaf * leaves
-            + self.costs.tlb_shootdown;
-        Ok(MmOutcome {
-            value: (),
-            kernel_time,
-        })
-    }
-
-    /// Fast-path walk cost for translating `levels` page-table levels.
-    pub fn walk_cost(&self, levels: u64) -> Ns {
-        self.costs.walk_per_level * levels
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pico_mem::PhysAddr;
-
-    const BASE: VirtAddr = VirtAddr(0x7000_0000_0000);
-
-    fn frames() -> BuddyAllocator {
-        BuddyAllocator::new(PhysAddr(0), 64 << 20)
-    }
-
-    #[test]
-    fn mappings_are_pinned_and_contiguous() {
-        let mut f = frames();
-        let mut mm = MckMm::new(BASE, MckMmCosts::default());
-        let out = mm.mmap_anonymous(&mut f, 4 << 20).unwrap();
-        let (va, stats) = out.value;
-        assert!(stats.large_leaves >= 2);
-        assert!(out.kernel_time > Ns::ZERO);
-        // The fast path may walk this range (it is pinned).
-        let (runs, levels) = mm.space.contiguous_runs(va, 4 << 20).unwrap();
-        assert_eq!(runs.len(), 1);
-        assert!(levels <= 8, "large pages keep the walk shallow: {levels}");
-    }
-
-    #[test]
-    fn munmap_costs_more_than_mmap() {
-        // The QBOX observation: teardown dominates.
-        let mut f = frames();
-        let mut mm = MckMm::new(BASE, MckMmCosts::default());
-        let m = mm.mmap_anonymous(&mut f, 1 << 20).unwrap();
-        let (va, _) = m.value;
-        let u = mm.munmap(&mut f, va).unwrap();
-        assert!(
-            u.kernel_time > m.kernel_time,
-            "munmap {} should exceed mmap {}",
-            u.kernel_time,
-            m.kernel_time
-        );
-        // Shootdown is the dominant fixed term.
-        assert!(u.kernel_time >= MckMmCosts::default().tlb_shootdown);
-    }
-
-    #[test]
-    fn walk_cost_scales_with_levels() {
-        let mm = MckMm::new(BASE, MckMmCosts::default());
-        assert_eq!(mm.walk_cost(0), Ns::ZERO);
-        assert_eq!(mm.walk_cost(4) * 2, mm.walk_cost(8));
-    }
-
-    #[test]
-    fn munmap_unknown_va_fails() {
-        let mut f = frames();
-        let mut mm = MckMm::new(BASE, MckMmCosts::default());
-        assert!(mm.munmap(&mut f, VirtAddr(0xdead_0000)).is_err());
     }
 }

@@ -608,6 +608,8 @@ mod tests {
         assert_eq!(leaves, 1); // one 2M leaf
         assert_eq!(phys.free_bytes(), before);
         assert_eq!(asp.vma_count(), 0);
+        // The address no longer names a mapping.
+        assert_eq!(asp.munmap(&mut phys, va), Err(MapError::Invalid));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`ServerPool`] / [`BandwidthGate`] — analytic FIFO queueing resources
 //!   that return exact start/finish schedules in O(1), used for the Linux
 //!   syscall-offload service CPUs, SDMA engines and fabric links;
-//! * [`stats`] — counters, per-key time accumulators (the MPI and kernel
-//!   profilers), histograms and Welford mean/variance;
+//! * [`stats`] — per-key time accumulators (the MPI and kernel
+//!   profilers) and histograms;
 //! * [`FastMap`] — a splitmix64 open-addressed map (linear probing,
 //!   backward-shift deletion) replacing SipHash maps on per-completion
 //!   hot paths;
@@ -47,5 +47,5 @@ pub use par::{default_threads, par_map, par_map_threads, SpinBarrier, WindowSync
 pub use resource::{BandwidthGate, Grant, ServerPool};
 pub use rng::Rng;
 pub use sketch::{FinishSketch, Sketch};
-pub use stats::{Counter, Histogram, TimeByKey, Welford};
+pub use stats::{Histogram, TimeByKey};
 pub use time::{transfer_time, Ns};

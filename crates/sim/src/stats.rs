@@ -1,32 +1,10 @@
-//! Lightweight statistics used throughout the simulator: counters,
-//! per-key time accumulators (the MPI and kernel profilers are built on
-//! these), and log₂-bucketed histograms.
+//! Lightweight statistics used throughout the simulator: per-key time
+//! accumulators (the MPI and kernel profilers are built on these) and
+//! log₂-bucketed histograms.
 
 use crate::fastmap::FastMap;
 use crate::time::Ns;
 use std::hash::Hash;
-
-/// A monotonically increasing counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Accumulates `(count, total duration)` per key. This is the backbone of
 /// both the `I_MPI_STATS`-style MPI profiler (key = MPI call) and the
@@ -211,60 +189,9 @@ impl Histogram {
     }
 }
 
-/// Running mean/variance (Welford) for f64 samples: used by the harness to
-/// aggregate repeated simulation runs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Add a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-    /// Population variance (0 with <2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::default();
-        c.bump();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn time_by_key_accumulates_and_sorts() {
@@ -326,18 +253,5 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), None);
         assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.stddev() - 2.0).abs() < 1e-12);
     }
 }

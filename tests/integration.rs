@@ -139,6 +139,46 @@ fn kernel_time_collapses_with_fast_path() {
     assert!(share(&hfi) < share(&mck));
 }
 
+/// The route of every kernel call, as exact counts: Linux offloads
+/// nothing; McKernel offloads every call of the kernel profile except
+/// the LWK-local scratch `mmap`/`munmap` pairs (the device `mmap`s of
+/// `MPI_Init` go to Linux); the HFI1 PicoDriver additionally keeps every
+/// `ioctl` and `writev` in the LWK.
+#[test]
+fn offload_route_accounting_is_exact() {
+    let cases = [
+        (App::Umt2013, 4),
+        (App::Lammps, 4),
+        (App::Qbox, 4),
+        (
+            App::PingPong {
+                bytes: 4 << 20,
+                reps: 3,
+            },
+            1,
+        ),
+    ];
+    for (app, rpn) in cases {
+        for os in OsConfig::ALL {
+            let r = run_app(paper_config(os, app, 2, Some(rpn)), app, 1);
+            let calls = |s| r.kernel_profile.get(&s).0;
+            let total: u64 = Sysno::ALL.into_iter().map(calls).sum();
+            let scratch = 2 * calls(Sysno::Munmap);
+            let local = match os {
+                OsConfig::Linux => total,
+                OsConfig::McKernel => scratch,
+                OsConfig::McKernelHfi => scratch + calls(Sysno::Ioctl) + calls(Sysno::Writev),
+            };
+            assert!(total > scratch, "{os:?} {app:?}: no device call ran");
+            assert_eq!(
+                r.offloaded_calls,
+                total - local,
+                "{os:?} {app:?}: offloaded calls"
+            );
+        }
+    }
+}
+
 /// Weak-scaling LAMMPS is unaffected by the driver architecture — the
 /// "no regression" guarantee of Figure 5.
 #[test]
